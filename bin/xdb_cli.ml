@@ -205,24 +205,33 @@ let transform_cmd =
                 print_metrics r.Xdb_core.Engine.metrics;
                 Xdb_core.Engine.shutdown engine)
     | None -> (
+        (* file mode runs the library directly: classify its exceptions
+           (malformed input, runaway recursion, …) like the engine's *)
+        let classified stage f = with_engine_errors (fun () -> Xdb_core.Xdb_error.wrap ~stage f) in
+        let parse_document file = classified "parse" (fun () -> Xdb_xml.Parser.parse (read_file file)) in
+        let exec f = classified "exec" f in
         match (stylesheet, document) with
         | Some stylesheet, Some document when shredded ->
-            run_shredded opts (read_file stylesheet)
-              (Xdb_xml.Parser.parse (read_file document))
-        | Some stylesheet, Some document ->
+            run_shredded opts (read_file stylesheet) (parse_document document)
+        | Some stylesheet, Some document -> (
             let ss_text = read_file stylesheet in
-            let doc = Xdb_xml.Parser.parse (read_file document) in
-            (match mode with
+            let doc = parse_document document in
+            match mode with
             | `Vm ->
-                let frag = Xdb_xslt.Vm.run_stylesheet ss_text doc in
+                let frag = exec (fun () -> Xdb_xslt.Vm.run_stylesheet ss_text doc) in
                 print_endline (Xdb_xml.Serializer.node_list_to_string frag.Xdb_xml.Types.children)
             | `Xquery ->
-                let dc = Xdb_core.Pipeline.compile_for_document ss_text ~example_doc:doc in
-                print_endline (Xdb_core.Pipeline.transform_via_xquery dc doc)
+                print_endline
+                  (exec (fun () ->
+                       let dc = Xdb_core.Pipeline.compile_for_document ss_text ~example_doc:doc in
+                       Xdb_core.Pipeline.transform_via_xquery dc doc))
             | `Both ->
-                let dc = Xdb_core.Pipeline.compile_for_document ss_text ~example_doc:doc in
-                let f = Xdb_core.Pipeline.transform_functional dc doc in
-                let x = Xdb_core.Pipeline.transform_via_xquery dc doc in
+                let f, x =
+                  exec (fun () ->
+                      let dc = Xdb_core.Pipeline.compile_for_document ss_text ~example_doc:doc in
+                      ( Xdb_core.Pipeline.transform_functional dc doc,
+                        Xdb_core.Pipeline.transform_via_xquery dc doc ))
+                in
                 print_endline f;
                 if f = x then prerr_endline "(rewrite output identical)"
                 else (

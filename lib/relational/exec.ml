@@ -16,15 +16,25 @@
       rows.  Unresolvable references fail at plan-open time with the
       available columns listed, instead of per-row [Exec_error]s.
 
+    The compiled executor publishes XML through {b fused emitters}
+    ([cemit]): a constructor nested in a constructor, and every XMLAgg
+    member, pushes its events straight into the consumer's sink, so only
+    the outermost constructor of an expression becomes a value — one
+    [Value.Xml_stream], or one tree in DOM mode.  Start tags are built at
+    plan-open time.  [Sort] and XMLAgg [ORDER BY] share one ordering
+    helper ([order_rows]): an O(n) check returns input that already
+    arrives in key order untouched (counted as [presorted] in {!Stats}),
+    anything else gets a stable index sort over keys computed once.
+
     Each scan binds both the bare column name and the [alias.column]
     qualified form, so correlated subqueries can reference outer tables
     the way paper Table 7 does ([DEPTNO = DEPT.DEPTNO]); correlation
     bindings ride as the physical tail of each row.
 
     Both executors accept an optional {!Stats.t} collector; when present
-    every operator records rows produced, loops, B-tree probe counts and
-    inclusive wall time (EXPLAIN ANALYZE), and the two executors produce
-    identical per-operator actual-row counts. *)
+    every operator records rows produced, loops, B-tree probe counts,
+    skipped sorts and inclusive wall time (EXPLAIN ANALYZE), and the two
+    executors produce identical per-operator row and presorted counts. *)
 
 module X = Xdb_xml.Types
 module E = Xdb_xml.Events
@@ -147,6 +157,33 @@ let rec own_binding_names db (p : plan) : string list =
   | Hash_join { outer; kind = Semi | Anti; _ } -> own_binding_names db outer
   | Aggregate { group_by; aggs; _ } -> List.map snd group_by @ List.map snd aggs
   | Values { cols; _ } -> cols
+
+(* Interpreted ORDER BY: decorated rows [(keys with directions, row)]
+   compared key by key *)
+let sort_key_cmp (ka, _) (kb, _) =
+  let rec go = function
+    | [] -> 0
+    | ((va, d), (vb, _)) :: rest -> (
+        let c = Value.compare_key va vb in
+        let c = match d with Asc -> c | Desc -> -c in
+        match c with 0 -> go rest | c -> c)
+  in
+  go (List.combine ka kb)
+
+(* ties count as in order: a stable sort would leave such input as is *)
+let rec in_order cmp = function
+  | a :: (b :: _ as rest) -> cmp a b <= 0 && in_order cmp rest
+  | _ -> true
+
+(* an open of a Sort (or of an Aggregate with an ordered XMLAgg) whose
+   input was already in key order; the check runs only when counted *)
+let count_presorted ctx p =
+  match ctx.stats with
+  | None -> ()
+  | Some st -> (
+      match Stats.find st p with
+      | Some s -> s.Stats.presorted <- s.Stats.presorted + 1
+      | None -> ())
 
 let rec eval_expr_in ctx (env : row) (e : expr) : Value.t =
   match e with
@@ -426,40 +463,40 @@ and run_node ctx (outer : row) (p : plan) : row list =
             probe_rows)
   | Aggregate { group_by; aggs; input } ->
       let rows = run_in ctx ~outer input in
-      if group_by = [] then [ eval_agg_group ctx outer group_by aggs rows [] ]
-      else
-        let groups = Hashtbl.create 16 in
-        let order = ref [] in
-        List.iter
-          (fun r ->
-            let key = List.map (fun (e, _) -> Value.to_string (eval_expr_in ctx r e)) group_by in
-            (match Hashtbl.find_opt groups key with
-            | None ->
-                order := key :: !order;
-                Hashtbl.add groups key (ref [ r ])
-            | Some cell -> cell := r :: !cell))
-          rows;
-        List.rev_map
-          (fun key ->
-            let members = List.rev !(Hashtbl.find groups key) in
-            eval_agg_group ctx outer group_by aggs members key)
-          !order
+      (* set when an ordered XMLAgg had to sort its members *)
+      let sorted = ref false in
+      let out =
+        if group_by = [] then [ eval_agg_group ctx outer sorted group_by aggs rows [] ]
+        else
+          let groups = Hashtbl.create 16 in
+          let order = ref [] in
+          List.iter
+            (fun r ->
+              let key =
+                List.map (fun (e, _) -> Value.to_string (eval_expr_in ctx r e)) group_by
+              in
+              match Hashtbl.find_opt groups key with
+              | None ->
+                  order := key :: !order;
+                  Hashtbl.add groups key (ref [ r ])
+              | Some cell -> cell := r :: !cell)
+            rows;
+          List.rev_map
+            (fun key ->
+              let members = List.rev !(Hashtbl.find groups key) in
+              eval_agg_group ctx outer sorted group_by aggs members key)
+            !order
+      in
+      if (not !sorted) && List.exists (function Xml_agg (_, _ :: _), _ -> true | _ -> false) aggs
+      then count_presorted ctx p;
+      out
   | Sort (keys, input) ->
       let rows = run_in ctx ~outer input in
       let decorated =
         List.map (fun r -> (List.map (fun (k, d) -> (eval_expr_in ctx r k, d)) keys, r)) rows
       in
-      let cmp (ka, _) (kb, _) =
-        let rec go = function
-          | [] -> 0
-          | ((va, d), (vb, _)) :: rest -> (
-              let c = Value.compare_key va vb in
-              let c = match d with Asc -> c | Desc -> -c in
-              match c with 0 -> go rest | c -> c)
-        in
-        go (List.combine ka kb)
-      in
-      List.map snd (List.stable_sort cmp decorated)
+      if Option.is_some ctx.stats && in_order sort_key_cmp decorated then count_presorted ctx p;
+      List.map snd (List.stable_sort sort_key_cmp decorated)
   | Limit (n, input) ->
       let rec take n = function
         | [] -> []
@@ -510,7 +547,7 @@ and run_in ctx ?(outer = []) (p : plan) : row list =
           | _ -> ());
           rows)
 
-and eval_agg_group ctx outer group_by aggs members key =
+and eval_agg_group ctx outer sorted group_by aggs members key =
   (* group columns: re-evaluate on a member row to keep value types; fall
      back to the string key for an (impossible in practice) empty group *)
   let group_cols =
@@ -577,17 +614,9 @@ and eval_agg_group ctx outer group_by aggs members key =
                       (fun r -> (List.map (fun (k, d) -> (eval_expr_in ctx r k, d)) order, r))
                       members
                   in
-                  let cmp (ka, _) (kb, _) =
-                    let rec go = function
-                      | [] -> 0
-                      | ((va, d), (vb, _)) :: rest -> (
-                          let c = Value.compare_key va vb in
-                          let c = match d with Asc -> c | Desc -> -c in
-                          match c with 0 -> go rest | c -> c)
-                    in
-                    go (List.combine ka kb)
-                  in
-                  List.map snd (List.stable_sort cmp decorated)
+                  if Option.is_some ctx.stats && not (in_order sort_key_cmp decorated) then
+                    sorted := true;
+                  List.map snd (List.stable_sort sort_key_cmp decorated)
               in
               xml_value ~streaming:ctx.xml_streaming (fun sink ->
                   List.iter (fun r -> emit_content sink (eval_expr_in ctx r e)) members)
@@ -658,6 +687,37 @@ let drain_cursor (next : cursor) : Value.t array list =
   in
   go []
 
+(* Row arrays are made with the empty-row atom and then filled, never
+   with Array.init/map/of_list: those seed the array with its first
+   element, and an array longer than 256 words seeded with a young block
+   forces a minor collection (caml_make_vect) — on every batch, promoting
+   the batch with it. *)
+let rows_init n (f : int -> 'a array) : 'a array array =
+  let a = Array.make n [||] in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i (f i)
+  done;
+  a
+
+(* the rows of a list accumulated in reverse *)
+let rows_of_rev_list (l : Value.t array list) : Value.t array array =
+  let n = List.length l in
+  let a = Array.make n [||] in
+  List.iteri (fun i r -> Array.unsafe_set a (n - 1 - i) r) l;
+  a
+
+(* drain a cursor to one row array; a single batch is returned as is
+   (batches are never mutated once produced) *)
+let drain_array (next : cursor) : Value.t array array =
+  match next () with
+  | None -> [||]
+  | Some b -> (
+      match next () with
+      | None -> b
+      | Some b2 ->
+          let rec go acc = match next () with None -> List.rev acc | Some b -> go (b :: acc) in
+          Array.concat (go [ b2; b ]))
+
 (* chunked cursor over an indexed row source, appending the outer tail to
    every produced row; rows are shared (not copied) when there is no tail *)
 let chunked_cursor ~batch ~count ~get (outer : Value.t array) : cursor =
@@ -680,7 +740,7 @@ let chunked_cursor ~batch ~count ~get (outer : Value.t array) : cursor =
           Array.blit outer 0 out m k;
           out)
       in
-      Some (Array.init len make))
+      Some (rows_init len make))
 
 (* cursor over a lazily computed materialised result (Sort/Limit/Aggregate
    compute everything on the first pull, then emit in batches) *)
@@ -696,10 +756,11 @@ let lazy_array_cursor batch (compute : unit -> Value.t array array) : cursor =
           state := Some a;
           a
     in
-    if !pos >= Array.length arr then None
+    let n = Array.length arr in
+    if !pos >= n then None
     else (
-      let len = min batch (Array.length arr - !pos) in
-      let b = Array.sub arr !pos len in
+      let len = min batch (n - !pos) in
+      let b = if len = n then arr else Array.sub arr !pos len in
       pos := !pos + len;
       Some b)
 
@@ -718,16 +779,51 @@ let instrumented_open (s : Stats.op_stats) open_ (outer : Value.t array) : curso
     (match b with Some rows -> s.Stats.rows <- s.Stats.rows + Array.length rows | None -> ());
     b
 
-let sort_cmp_keys kfs (ka : Value.t array) (kb : Value.t array) =
-  let n = Array.length kfs in
-  let rec go i =
-    if i >= n then 0
-    else
-      let c = Value.compare_key ka.(i) kb.(i) in
-      let c = match snd kfs.(i) with Asc -> c | Desc -> -c in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+(* SQL truth values, shared rather than boxed per row *)
+let v_true = Value.Int 1
+let v_false = Value.Int 0
+let of_bool b = if b then v_true else v_false
+
+(* ------------------------------------------------------------------ *)
+(* Ordering: one helper for Sort and XMLAgg ORDER BY                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Rows [i] and [j] compared key by key; [keys] holds [nk] keys per row,
+   row-major.  A top-level loop over its arguments, so a comparison
+   allocates nothing. *)
+let rec cmp_rows (keys : Value.t array) nk (desc : bool array) i j k =
+  if k >= nk then 0
+  else
+    let c =
+      Value.compare_key (Array.unsafe_get keys ((i * nk) + k)) (Array.unsafe_get keys ((j * nk) + k))
+    in
+    if c <> 0 then if Array.unsafe_get desc k then -c else c else cmp_rows keys nk desc i j (k + 1)
+
+(** [order_rows kfs desc rows] — [rows] in key order.  The keys are
+    computed once per row into one array, and checked against the
+    previous row's as they are: input that already arrives in key order
+    is returned itself (physically: callers test [==] to count the
+    skipped sort) — equal keys count as in order, which keeps the result
+    stable.  Otherwise a stable index sort orders the rows. *)
+let order_rows (kfs : (Value.t array -> Value.t) array) (desc : bool array)
+    (rows : Value.t array array) : Value.t array array =
+  let n = Array.length rows and nk = Array.length kfs in
+  if n = 0 || nk = 0 then rows
+  else (
+    let keys = Array.make (n * nk) Value.Null in
+    let in_order = ref true in
+    for i = 0 to n - 1 do
+      let r = Array.unsafe_get rows i in
+      for k = 0 to nk - 1 do
+        Array.unsafe_set keys ((i * nk) + k) ((Array.unsafe_get kfs k) r)
+      done;
+      if !in_order && i > 0 && cmp_rows keys nk desc (i - 1) i 0 > 0 then in_order := false
+    done;
+    if !in_order then rows
+    else (
+      let idx = Array.init n Fun.id in
+      Array.stable_sort (fun a b -> cmp_rows keys nk desc a b 0) idx;
+      rows_init n (fun j -> Array.unsafe_get rows (Array.unsafe_get idx j))))
 
 (** Compile an expression against a layout into a closure over physical
     rows.  All column references — including those inside never-taken
@@ -741,10 +837,10 @@ let rec cexpr ctx (lay : Layout.t) (e : expr) : Value.t array -> Value.t =
       fun r -> Array.unsafe_get r s
   | Not e ->
       let f = cexpr ctx lay e in
-      fun r -> Value.Int (if bool_of_value (f r) then 0 else 1)
+      fun r -> of_bool (not (bool_of_value (f r)))
   | Is_null e ->
       let f = cexpr ctx lay e in
-      fun r -> Value.Int (if Value.is_null (f r) then 1 else 0)
+      fun r -> of_bool (Value.is_null (f r))
   | Binop (op, a, b) -> cbinop ctx lay op a b
   | Fn (f, args) -> cfn ctx lay f args
   | Case (whens, els) ->
@@ -756,56 +852,11 @@ let rec cexpr ctx (lay : Layout.t) (e : expr) : Value.t array -> Value.t =
           | (c, t) :: rest -> if bool_of_value (c r) then t r else go rest
         in
         go whens
-  | Xml_element (name, attrs, kids) ->
-      let qn = X.qname name in
-      let attrs = List.map (fun (an, ae) -> (X.qname an, cexpr ctx lay ae)) attrs in
-      let kids = List.map (cexpr ctx lay) kids in
+  | Xml_element _ | Xml_forest _ | Xml_concat _ | Xml_text _ | Xml_comment _ | Xml_pi _ ->
+      (* the outermost constructor: the only one that becomes a value *)
+      let em = cemit ctx lay e in
       let streaming = ctx.cxml_streaming in
-      fun r ->
-        xml_value ~streaming (fun sink ->
-            sink.E.emit (E.Start_element qn);
-            List.iter
-              (fun (aq, af) ->
-                match af r with
-                | Value.Null -> ()
-                | v -> sink.E.emit (E.Attr (aq, Value.to_string v)))
-              attrs;
-            List.iter (fun kf -> emit_content sink (kf r)) kids;
-            sink.E.emit E.End_element)
-  | Xml_forest fields ->
-      let fields = List.map (fun (n, fe) -> (X.qname n, cexpr ctx lay fe)) fields in
-      let streaming = ctx.cxml_streaming in
-      fun r ->
-        xml_value ~streaming (fun sink ->
-            List.iter
-              (fun (qn, ff) ->
-                match ff r with
-                | Value.Null -> ()
-                | v ->
-                    sink.E.emit (E.Start_element qn);
-                    emit_content sink v;
-                    sink.E.emit E.End_element)
-              fields)
-  | Xml_concat es ->
-      let fs = List.map (cexpr ctx lay) es in
-      let streaming = ctx.cxml_streaming in
-      fun r -> xml_value ~streaming (fun sink -> List.iter (fun f -> emit_content sink (f r)) fs)
-  | Xml_text e ->
-      let f = cexpr ctx lay e in
-      let streaming = ctx.cxml_streaming in
-      fun r ->
-        xml_value ~streaming (fun sink ->
-            match f r with
-            | Value.Null -> ()
-            | v -> sink.E.emit (E.Text (Value.to_string v)))
-  | Xml_comment e ->
-      let f = cexpr ctx lay e in
-      let streaming = ctx.cxml_streaming in
-      fun r -> xml_value ~streaming (fun sink -> sink.E.emit (E.Comment (Value.to_string (f r))))
-  | Xml_pi (t, e) ->
-      let f = cexpr ctx lay e in
-      let streaming = ctx.cxml_streaming in
-      fun r -> xml_value ~streaming (fun sink -> sink.E.emit (E.Pi (t, Value.to_string (f r))))
+      fun r -> xml_value ~streaming (em r)
   | Scalar_subquery p ->
       let cp = cplan ctx lay p in
       let first =
@@ -814,18 +865,86 @@ let rec cexpr ctx (lay : Layout.t) (e : expr) : Value.t array -> Value.t =
       fun r -> (
         (* full drain, like the interpreted executor, so per-operator
            actual-row counts agree between the two *)
-        match drain_cursor (cp.c_open r) with
-        | [] -> Value.Null
-        | row :: _ -> ( match first with None -> Value.Null | Some s -> row.(s)))
+        let rows = drain_array (cp.c_open r) in
+        match first with
+        | Some s when Array.length rows > 0 -> rows.(0).(s)
+        | _ -> Value.Null)
   | Exists p ->
       let cp = cplan ctx lay p in
-      fun r -> Value.Int (if drain_cursor (cp.c_open r) = [] then 0 else 1)
+      fun r -> of_bool (Array.length (drain_array (cp.c_open r)) > 0)
+
+(** Fused XML publishing: compile an expression to an emitter pushing its
+    content events straight into the consumer's sink.  Constructors
+    nested in constructors (and XMLAgg members) call their emitters
+    directly — no per-row [Value.Xml_stream] wrapper, no per-level tree
+    in DOM mode.  Start tags are built once, here; a CASE emits the
+    branch it takes; any other expression is evaluated and its value
+    replayed through {!emit_content}. *)
+and cemit ctx lay (e : expr) : Value.t array -> E.sink -> unit =
+  match e with
+  | Xml_element (name, attrs, kids) ->
+      let start = E.Start_element (X.qname name) in
+      let attrs = Array.of_list (List.map (fun (an, ae) -> (X.qname an, cexpr ctx lay ae)) attrs) in
+      let kids = Array.of_list (List.map (cemit ctx lay) kids) in
+      fun r sink ->
+        sink.E.emit start;
+        for i = 0 to Array.length attrs - 1 do
+          let aq, af = Array.unsafe_get attrs i in
+          match af r with Value.Null -> () | v -> sink.E.emit (E.Attr (aq, Value.to_string v))
+        done;
+        for i = 0 to Array.length kids - 1 do
+          (Array.unsafe_get kids i) r sink
+        done;
+        sink.E.emit E.End_element
+  | Xml_forest fields ->
+      let fields =
+        Array.of_list
+          (List.map (fun (n, fe) -> (E.Start_element (X.qname n), cexpr ctx lay fe)) fields)
+      in
+      fun r sink ->
+        for i = 0 to Array.length fields - 1 do
+          let start, ff = Array.unsafe_get fields i in
+          match ff r with
+          | Value.Null -> ()
+          | v ->
+              sink.E.emit start;
+              emit_content sink v;
+              sink.E.emit E.End_element
+        done
+  | Xml_concat es ->
+      let ems = Array.of_list (List.map (cemit ctx lay) es) in
+      fun r sink ->
+        for i = 0 to Array.length ems - 1 do
+          (Array.unsafe_get ems i) r sink
+        done
+  | Xml_text e -> (
+      let f = cexpr ctx lay e in
+      fun r sink ->
+        match f r with Value.Null -> () | v -> sink.E.emit (E.Text (Value.to_string v)))
+  | Xml_comment e ->
+      let f = cexpr ctx lay e in
+      fun r sink -> sink.E.emit (E.Comment (Value.to_string (f r)))
+  | Xml_pi (t, e) ->
+      let f = cexpr ctx lay e in
+      fun r sink -> sink.E.emit (E.Pi (t, Value.to_string (f r)))
+  | Case (whens, els) ->
+      let whens = List.map (fun (c, b) -> (cexpr ctx lay c, cemit ctx lay b)) whens in
+      let els = Option.map (cemit ctx lay) els in
+      fun r sink ->
+        let rec go = function
+          | [] -> ( match els with Some em -> em r sink | None -> ())
+          | (c, em) :: rest -> if bool_of_value (c r) then em r sink else go rest
+        in
+        go whens
+  | e ->
+      let f = cexpr ctx lay e in
+      fun r sink -> emit_content sink (f r)
 
 and cbinop ctx lay op a b =
   let fa = cexpr ctx lay a and fb = cexpr ctx lay b in
   match op with
-  | And -> fun r -> Value.Int (if bool_of_value (fa r) && bool_of_value (fb r) then 1 else 0)
-  | Or -> fun r -> Value.Int (if bool_of_value (fa r) || bool_of_value (fb r) then 1 else 0)
+  | And -> fun r -> of_bool (bool_of_value (fa r) && bool_of_value (fb r))
+  | Or -> fun r -> of_bool (bool_of_value (fa r) || bool_of_value (fb r))
   | Concat -> fun r -> Value.Str (Value.to_string (fa r) ^ Value.to_string (fb r))
   | Fdiv ->
       fun r -> (
@@ -870,7 +989,7 @@ and cbinop ctx lay op a b =
       fun r -> (
         match Value.compare_sql (fa r) (fb r) with
         | None -> Value.Null
-        | Some c -> Value.Int (if test c then 1 else 0))
+        | Some c -> of_bool (test c))
 
 and cfn ctx lay f args =
   let cs = List.map (cexpr ctx lay) args in
@@ -916,24 +1035,40 @@ and cfn ctx lay f args =
         go cs
   | name, n -> err "unknown scalar function %s/%d" name n
 
-and cagg ctx lay (a : agg) : Value.t array list -> Value.t =
+(* Aggregates over one group's members, in input order.  [sorted] is set
+   when an ordered XMLAgg had to sort them (the presorted counter). *)
+and cagg ctx lay sorted (a : agg) : Value.t array array -> Value.t =
+  let count_non_null f ms =
+    let c = ref 0 in
+    for i = 0 to Array.length ms - 1 do
+      if not (Value.is_null (f (Array.unsafe_get ms i))) then incr c
+    done;
+    !c
+  in
   match a with
-  | Count_star -> fun ms -> Value.Int (List.length ms)
+  | Count_star -> fun ms -> Value.Int (Array.length ms)
   | Count e ->
       let f = cexpr ctx lay e in
-      fun ms -> Value.Int (List.length (List.filter (fun r -> not (Value.is_null (f r))) ms))
+      fun ms -> Value.Int (count_non_null f ms)
   | Sum e ->
       let f = cexpr ctx lay e in
       fun ms ->
-        let vs = List.filter_map (fun r -> match f r with Value.Null -> None | v -> Some v) ms in
-        if vs = [] then Value.Null
-        else if List.for_all (function Value.Int _ -> true | _ -> false) vs then
-          Value.Int (List.fold_left (fun acc v -> acc + Value.to_int v) 0 vs)
-        else Value.Float (List.fold_left (fun acc v -> acc +. Value.to_float v) 0.0 vs)
+        (* one pass: the integer sum while every value is an Int, the
+           float sum of all of them in the same order *)
+        let seen = ref false and all_int = ref true and isum = ref 0 and fsum = ref 0.0 in
+        for i = 0 to Array.length ms - 1 do
+          match f (Array.unsafe_get ms i) with
+          | Value.Null -> ()
+          | v ->
+              seen := true;
+              (match v with Value.Int i -> isum := !isum + i | _ -> all_int := false);
+              fsum := !fsum +. Value.to_float v
+        done;
+        if not !seen then Value.Null else if !all_int then Value.Int !isum else Value.Float !fsum
   | Min e ->
       let f = cexpr ctx lay e in
       fun ms ->
-        List.fold_left
+        Array.fold_left
           (fun acc r ->
             match (acc, f r) with
             | acc, Value.Null -> acc
@@ -943,7 +1078,7 @@ and cagg ctx lay (a : agg) : Value.t array list -> Value.t =
   | Max e ->
       let f = cexpr ctx lay e in
       fun ms ->
-        List.fold_left
+        Array.fold_left
           (fun acc r ->
             match (acc, f r) with
             | acc, Value.Null -> acc
@@ -953,36 +1088,32 @@ and cagg ctx lay (a : agg) : Value.t array list -> Value.t =
   | Avg e ->
       let f = cexpr ctx lay e in
       fun ms ->
-        let vs =
-          List.filter_map
-            (fun r -> match f r with Value.Null -> None | v -> Some (Value.to_float v))
-            ms
-        in
-        if vs = [] then Value.Null
-        else Value.Float (List.fold_left ( +. ) 0.0 vs /. float_of_int (List.length vs))
+        let n = ref 0 and sum = ref 0.0 in
+        for i = 0 to Array.length ms - 1 do
+          match f (Array.unsafe_get ms i) with
+          | Value.Null -> ()
+          | v ->
+              incr n;
+              sum := !sum +. Value.to_float v
+        done;
+        if !n = 0 then Value.Null else Value.Float (!sum /. float_of_int !n)
   | Xml_agg (e, order) ->
-      let f = cexpr ctx lay e in
-      let kfs = Array.of_list (List.map (fun (k, d) -> (cexpr ctx lay k, d)) order) in
+      let em = cemit ctx lay e in
+      let kfs = Array.of_list (List.map (fun (k, _) -> cexpr ctx lay k) order) in
+      let desc = Array.of_list (List.map (fun (_, d) -> d = Desc) order) in
+      let streaming = ctx.cxml_streaming in
       fun ms ->
-        let ms =
-          if Array.length kfs = 0 then ms
-          else
-            let dec =
-              Array.of_list (List.map (fun r -> (Array.map (fun (kf, _) -> kf r) kfs, r)) ms)
-            in
-            Array.stable_sort (fun (ka, _) (kb, _) -> sort_cmp_keys kfs ka kb) dec;
-            Array.to_list (Array.map snd dec)
-        in
-        xml_value ~streaming:ctx.cxml_streaming (fun sink ->
-            List.iter (fun r -> emit_content sink (f r)) ms)
+        let ordered = order_rows kfs desc ms in
+        if ordered != ms then sorted := true;
+        xml_value ~streaming (fun sink -> Array.iter (fun r -> em r sink) ordered)
   | String_agg (e, sep) ->
       let f = cexpr ctx lay e in
       fun ms ->
         Value.Str
           (String.concat sep
-             (List.filter_map
-                (fun r -> match f r with Value.Null -> None | v -> Some (Value.to_string v))
-                ms))
+             (Array.fold_right
+                (fun r acc -> match f r with Value.Null -> acc | v -> Value.to_string v :: acc)
+                ms []))
 
 (** Compile one operator against the layout of its correlation
     environment.  The returned layout is own columns first, outer row as
@@ -1059,10 +1190,24 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
           let rec pull () =
             match next () with
             | None -> None
-            | Some b -> (
-                let kept = ref [] in
-                Array.iter (fun r -> if bool_of_value (fc r) then kept := r :: !kept) b;
-                match !kept with [] -> pull () | ks -> Some (Array.of_list (List.rev ks)))
+            | Some b ->
+                let n = Array.length b in
+                let keep = Bytes.make n '\000' and kept = ref 0 in
+                for i = 0 to n - 1 do
+                  if bool_of_value (fc (Array.unsafe_get b i)) then (
+                    Bytes.unsafe_set keep i '\001';
+                    incr kept)
+                done;
+                if !kept = 0 then pull ()
+                else if !kept = n then Some b
+                else (
+                  let out = Array.make !kept [||] and j = ref 0 in
+                  for i = 0 to n - 1 do
+                    if Bytes.unsafe_get keep i = '\001' then (
+                      Array.unsafe_set out !j (Array.unsafe_get b i);
+                      incr j)
+                  done;
+                  Some out)
           in
           pull
         in
@@ -1085,15 +1230,14 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
             | None -> None
             | Some b ->
                 Some
-                  (Array.map
-                     (fun r ->
+                  (rows_init (Array.length b) (fun j ->
+                       let r = Array.unsafe_get b j in
                        let out = Array.make (nf + k) Value.Null in
                        for i = 0 to nf - 1 do
                          out.(i) <- (Array.unsafe_get fs i) r
                        done;
                        if k > 0 then Array.blit outer 0 out nf k;
-                       out)
-                     b)
+                       out))
         in
         { c_layout = lay; c_open = open_ }
     | Nested_loop { outer = op; inner = ip; join_cond } ->
@@ -1142,7 +1286,7 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
             fill ();
             if !nbuf = 0 then None
             else (
-              let out = Array.of_list (List.rev !buf) in
+              let out = rows_of_rev_list !buf in
               buf := [];
               nbuf := 0;
               Some out)
@@ -1266,7 +1410,7 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
             fill ();
             if !nbuf = 0 then None
             else (
-              let out = Array.of_list (List.rev !buf) in
+              let out = rows_of_rev_list !buf in
               buf := [];
               nbuf := 0;
               Some out)
@@ -1275,9 +1419,13 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
     | Aggregate { group_by; aggs; input } ->
         check_distinct "aggregate output" (List.map snd group_by @ List.map snd aggs);
         let ci = cplan ctx outer_lay input in
-        let gfs = List.map (fun (e, _) -> cexpr ctx ci.c_layout e) group_by in
-        let afs = List.map (fun (a, _) -> cagg ctx ci.c_layout a) aggs in
-        let ng = List.length gfs and na = List.length afs in
+        let gfs = Array.of_list (List.map (fun (e, _) -> cexpr ctx ci.c_layout e) group_by) in
+        let sorted = ref false in
+        let afs = Array.of_list (List.map (fun (a, _) -> cagg ctx ci.c_layout sorted a) aggs) in
+        let ordered_agg =
+          List.exists (function Xml_agg (_, _ :: _), _ -> true | _ -> false) aggs
+        in
+        let ng = Array.length gfs and na = Array.length afs in
         let k = Layout.width outer_lay in
         let lay =
           Layout.concat
@@ -1288,46 +1436,54 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
         in
         let open_ outer =
           let next = ci.c_open outer in
-          let make_group members key =
+          (* group columns from the first member (a group is never empty;
+             only the single group of an ungrouped aggregate can be) *)
+          let make_group (members : Value.t array array) =
             let out = Array.make (ng + na + k) Value.Null in
-            (match members with
-            | m :: _ -> List.iteri (fun i gf -> out.(i) <- gf m) gfs
-            | [] -> List.iteri (fun i ks -> out.(i) <- Value.Str ks) key);
-            List.iteri (fun i af -> out.(ng + i) <- af members) afs;
+            if Array.length members > 0 then Array.iteri (fun i gf -> out.(i) <- gf members.(0)) gfs;
+            Array.iteri (fun i af -> out.(ng + i) <- af members) afs;
             if k > 0 then Array.blit outer 0 out (ng + na) k;
             out
           in
           lazy_array_cursor ctx.cbatch (fun () ->
-              let rows = drain_cursor next in
-              if ng = 0 then [| make_group rows [] |]
-              else (
-                let groups = Hashtbl.create 16 in
-                let order = ref [] in
-                List.iter
-                  (fun r ->
-                    let key = List.map (fun gf -> Value.to_string (gf r)) gfs in
-                    match Hashtbl.find_opt groups key with
-                    | None ->
-                        order := key :: !order;
-                        Hashtbl.add groups key (ref [ r ])
-                    | Some cell -> cell := r :: !cell)
-                  rows;
-                Array.of_list
-                  (List.rev_map
-                     (fun key -> make_group (List.rev !(Hashtbl.find groups key)) key)
-                     !order)))
+              let rows = drain_array next in
+              sorted := false;
+              let out =
+                if ng = 0 then [| make_group rows |]
+                else (
+                  (* groups in first-appearance order, members in input order *)
+                  let groups = Hashtbl.create 16 and order = ref [] in
+                  Array.iter
+                    (fun r ->
+                      let key = Array.fold_right (fun gf acc -> Value.to_string (gf r) :: acc) gfs [] in
+                      match Hashtbl.find_opt groups key with
+                      | Some cell -> cell := r :: !cell
+                      | None ->
+                          let cell = ref [ r ] in
+                          Hashtbl.add groups key cell;
+                          order := cell :: !order)
+                    rows;
+                  rows_of_rev_list (List.map (fun cell -> make_group (rows_of_rev_list !cell)) !order))
+              in
+              (match sopt with
+              | Some s when ordered_agg && not !sorted -> s.Stats.presorted <- s.Stats.presorted + 1
+              | _ -> ());
+              out)
         in
         { c_layout = lay; c_open = open_ }
     | Sort (keys, input) ->
         let ci = cplan ctx outer_lay input in
-        let kfs = Array.of_list (List.map (fun (k, d) -> (cexpr ctx ci.c_layout k, d)) keys) in
+        let kfs = Array.of_list (List.map (fun (k, _) -> cexpr ctx ci.c_layout k) keys) in
+        let desc = Array.of_list (List.map (fun (_, d) -> d = Desc) keys) in
         let open_ outer =
           let next = ci.c_open outer in
           lazy_array_cursor ctx.cbatch (fun () ->
-              let rows = Array.of_list (drain_cursor next) in
-              let dec = Array.map (fun r -> (Array.map (fun (kf, _) -> kf r) kfs, r)) rows in
-              Array.stable_sort (fun (ka, _) (kb, _) -> sort_cmp_keys kfs ka kb) dec;
-              Array.map snd dec)
+              let rows = drain_array next in
+              let ordered = order_rows kfs desc rows in
+              (match sopt with
+              | Some s when ordered == rows -> s.Stats.presorted <- s.Stats.presorted + 1
+              | _ -> ());
+              ordered)
         in
         { c_layout = ci.c_layout; c_open = open_ }
     | Limit (n, input) ->
@@ -1338,12 +1494,8 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
               (* the interpreted executor materialises the child fully
                  before truncating; do the same so per-operator actual-row
                  counts are identical under EXPLAIN ANALYZE *)
-              let rows = drain_cursor next in
-              let rec take n = function
-                | [] -> []
-                | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
-              in
-              Array.of_list (take n rows))
+              let rows = drain_array next in
+              if Array.length rows <= n then rows else Array.sub rows 0 (max 0 n))
         in
         { c_layout = ci.c_layout; c_open = open_ }
     | Values { cols; rows } ->

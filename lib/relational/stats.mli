@@ -11,6 +11,9 @@ type op_stats = {
   mutable heap_rows : int;  (** heap rows fetched (scan operators) *)
   mutable build_rows : int;  (** rows hashed into the build table (hash join) *)
   mutable probe_hits : int;  (** matches found while probing (hash join) *)
+  mutable presorted : int;
+      (** opens of a Sort, or of an Aggregate with an ordered XMLAgg, whose
+          input already arrived in key order, so no sort ran *)
   mutable time_ms : float;  (** inclusive wall time, milliseconds *)
 }
 

@@ -1600,6 +1600,66 @@ let prop_pipeline_equivalence =
       in
       PL.run_functional dv.Xdb_xsltmark.Data.db c = PL.run_rewrite dv.Xdb_xsltmark.Data.db c)
 
+(* The CLI's file mode runs the library directly; its failures must end
+   as one typed [xdb: <stage> error: …] line with exit status 1, not as
+   an uncaught exception (exit 125).  Runs the binary built next to this
+   test ([../bin], a declared dependency of the suite). *)
+let test_cli_transform_errors () =
+  let cli =
+    Filename.concat
+      (Filename.concat (Filename.dirname Sys.executable_name) (Filename.concat ".." "bin"))
+      "xdb_cli.exe"
+  in
+  let write contents =
+    let f = Filename.temp_file "xdb_cli" ".xml" in
+    let oc = open_out f in
+    output_string oc contents;
+    close_out oc;
+    f
+  in
+  let identity =
+    write
+      {|<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+<xsl:template match="/"><out><xsl:copy-of select="."/></out></xsl:template>
+</xsl:stylesheet>|}
+  and loop =
+    write
+      {|<xsl:stylesheet version="1.0" xmlns:xsl="http://www.w3.org/1999/XSL/Transform">
+<xsl:template match="/"><xsl:call-template name="loop"/></xsl:template>
+<xsl:template name="loop"><xsl:call-template name="loop"/></xsl:template>
+</xsl:stylesheet>|}
+  and malformed = write "<a><b></a>"
+  and good = write "<a><b/></a>" in
+  let err = Filename.temp_file "xdb_cli" ".err" in
+  let run args =
+    let code =
+      Sys.command
+        (String.concat " " (List.map Filename.quote (cli :: "transform" :: args))
+        ^ " > " ^ Filename.quote Filename.null ^ " 2> " ^ Filename.quote err)
+    in
+    let ic = open_in err in
+    let msg = try input_line ic with End_of_file -> "" in
+    close_in ic;
+    (code, msg)
+  in
+  let expect name args ~prefix =
+    let code, msg = run args in
+    Alcotest.(check int) (name ^ ": exit status") 1 code;
+    if not (String.starts_with ~prefix msg) then
+      Alcotest.failf "%s: expected a line starting %S, got %S" name prefix msg
+  in
+  List.iter
+    (fun mode ->
+      expect ("malformed document, " ^ mode) [ "-m"; mode; identity; malformed ]
+        ~prefix:"xdb: XML parse error: line 1, col 10";
+      expect ("runaway call-template, " ^ mode) [ "-m"; mode; loop; good ]
+        ~prefix:"xdb: execution error: XSLT VM: template recursion limit exceeded")
+    [ "vm"; "both" ];
+  expect "malformed document, shredded" [ "--shredded"; identity; malformed ]
+    ~prefix:"xdb: XML parse error";
+  Alcotest.(check int) "well-formed input still transforms" 0 (fst (run [ identity; good ]));
+  List.iter Sys.remove [ identity; loop; malformed; good; err ]
+
 let () =
   Alcotest.run "core"
     [
@@ -1652,6 +1712,7 @@ let () =
           Alcotest.test_case "shredded XSLTMark parity" `Quick
             test_shredded_xsltmark_parity;
           Alcotest.test_case "Xdb_error boundary" `Quick test_xdb_error;
+          Alcotest.test_case "CLI transform errors exit 1" `Quick test_cli_transform_errors;
           Alcotest.test_case "result cache unit" `Quick test_result_cache_unit;
           Alcotest.test_case "result cache through engine" `Quick
             test_engine_result_cache;

@@ -1687,6 +1687,241 @@ let test_run_arrays_layout () =
   check cb "qualified name absent above projection" true
     (Xdb_rel.Layout.slot_opt layout ~alias:"e" "ename" = None)
 
+(* ------------------------------------------------------------------ *)
+(* Fused XML publishing and presorted ordering: differential property  *)
+(* ------------------------------------------------------------------ *)
+
+(* How the key column arrives relative to the ORDER BY direction. *)
+type key_shape = In_order | Reversed | All_tied | Random_ties
+
+type pub_case = {
+  shape : key_shape;
+  dir : A.order_dir;
+  rows : (V.t * V.t) list;  (** (a, b) per row; id and k are derived *)
+  body : A.expr;  (** random constructor tree, the XMLAgg/Sort member body *)
+}
+
+let pub_col c = A.Col (Some "t", c)
+
+let gen_pub_case : pub_case QCheck.Gen.t =
+  let open QCheck.Gen in
+  (* NULL, "" and short strings with characters that need escaping; no
+     '-' or '?' so comments and PIs stay well-formed *)
+  let str =
+    frequency
+      [
+        (1, return V.Null);
+        (1, return (V.Str ""));
+        (3, map (fun s -> V.Str s) (string_size ~gen:(oneofl [ 'a'; 'b'; '<'; '&'; '"'; ' ' ]) (int_range 1 4)));
+      ]
+  in
+  let num = frequency [ (1, return V.Null); (3, map (fun i -> V.Int i) (int_bound 9)) ] in
+  let value = oneofl [ pub_col "a"; pub_col "b"; A.Const V.Null; A.Const (V.Str "") ] in
+  let attrs =
+    map2
+      (fun u v -> List.filter_map Fun.id [ Option.map (fun e -> ("u", e)) u; Option.map (fun e -> ("v", e)) v ])
+      (opt value) (opt value)
+  in
+  let cond =
+    oneofl [ A.Binop (A.Gt, pub_col "b", A.Const (V.Int 4)); A.Is_null (pub_col "a") ]
+  in
+  let leaf =
+    oneofl
+      [
+        A.Xml_text (pub_col "a");
+        A.Xml_text (pub_col "b");
+        A.Xml_text (A.Const V.Null);
+        A.Xml_text (A.Const (V.Str ""));
+        pub_col "a";
+        A.Xml_comment (pub_col "a");
+        A.Xml_pi ("p", pub_col "a");
+        A.Xml_forest [ ("f", pub_col "a"); ("g", pub_col "b") ];
+      ]
+  in
+  let body =
+    fix
+      (fun self depth ->
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (2, leaf);
+              ( 3,
+                map3
+                  (fun name attrs kids -> A.Xml_element (name, attrs, kids))
+                  (oneofl [ "e"; "f" ]) attrs
+                  (list_size (int_bound 3) (self (depth - 1))) );
+              (1, map (fun l -> A.Xml_concat l) (list_size (int_bound 3) (self (depth - 1))));
+              ( 1,
+                map3
+                  (fun c t e -> A.Case ([ (c, t) ], e))
+                  cond (self (depth - 1)) (opt (self (depth - 1))) );
+            ])
+      3
+  in
+  map4
+    (fun shape dir rows body -> { shape; dir; rows; body })
+    (oneofl [ In_order; Reversed; All_tied; Random_ties ])
+    (oneofl [ A.Asc; A.Desc ])
+    (list_size (int_bound 12) (pair str num))
+    body
+
+let print_pub_case c =
+  Printf.sprintf "%s %s, %d rows, body %s"
+    (match c.shape with
+    | In_order -> "in-order"
+    | Reversed -> "reversed"
+    | All_tied -> "all-tied"
+    | Random_ties -> "random")
+    (match c.dir with A.Asc -> "ASC" | A.Desc -> "DESC")
+    (List.length c.rows) (A.expr_sql c.body)
+
+let prop_fused_publishing =
+  QCheck.Test.make
+    ~name:"fused publishing: compiled stream ≡ compiled DOM ≡ interpreted; stable ORDER BY"
+    ~count:150
+    (QCheck.make gen_pub_case ~print:print_pub_case)
+    (fun c ->
+      let n = List.length c.rows in
+      (* key k per row id, arriving in (or against) the direction's order *)
+      let key i =
+        let up = match c.shape with
+          | In_order -> i
+          | Reversed -> n - i
+          | All_tied -> 0
+          | Random_ties -> (i * 7 + n) mod 3
+        in
+        if c.dir = A.Desc && c.shape <> Random_ties then -up else up
+      in
+      let db = DB.create () in
+      let t =
+        DB.create_table db "t"
+          [
+            { T.col_name = "id"; col_type = V.Tint };
+            { T.col_name = "k"; col_type = V.Tint };
+            { T.col_name = "a"; col_type = V.Tstr };
+            { T.col_name = "b"; col_type = V.Tint };
+          ]
+      in
+      List.iteri (fun i (a, b) -> T.insert_values t [ V.Int i; V.Int (key i); a; b ]) c.rows;
+      let order = [ (pub_col "k", c.dir) ] in
+      let member = A.Xml_element ("m", [ ("id", pub_col "id") ], [ c.body ]) in
+      let scan = A.Seq_scan { table = "t"; alias = "t" } in
+      let agg_plan =
+        A.Project
+          ( [
+              ( A.Xml_element
+                  ( "root",
+                    [],
+                    [
+                      A.Scalar_subquery
+                        (A.Aggregate
+                           { group_by = []; aggs = [ (A.Xml_agg (member, order), "result") ]; input = scan });
+                    ] ),
+                "result" );
+            ],
+            A.Values { cols = [ "one" ]; rows = [ [ V.Int 1 ] ] } )
+      in
+      let sort_plan = A.Project ([ (member, "result"); (pub_col "id", "id") ], A.Sort (order, scan)) in
+      let column name (lay, rows) =
+        let s = Option.get (Xdb_rel.Layout.slot_opt lay name) in
+        List.map (fun (r : V.t array) -> V.to_string r.(s)) rows
+      in
+      (* every run serializes its results before its stats are read: a
+         streamed result runs its subqueries when it is serialized *)
+      let presorted label stats =
+        List.fold_left
+          (fun acc (e : Xdb_rel.Stats.entry) ->
+            if e.Xdb_rel.Stats.label = label then acc + e.Xdb_rel.Stats.op.Xdb_rel.Stats.presorted
+            else acc)
+          0 (Xdb_rel.Stats.entries stats)
+      in
+      let compiled ~xml_streaming plan label name =
+        let out, stats = E.run_arrays_analyzed db ~xml_streaming plan in
+        let vs = column name out in
+        (vs, presorted label stats)
+      in
+      let interpreted plan label name =
+        let rows, stats = E.run_interpreted_analyzed db plan in
+        let vs = List.map (fun r -> V.to_string (List.assoc name r)) rows in
+        (vs, presorted label stats)
+      in
+      (* reference: a stable sort of the ids by key, ties in input order *)
+      let cmp i j =
+        let c0 = compare (key i) (key j) in
+        if c.dir = A.Desc then -c0 else c0
+      in
+      let ids = List.init n Fun.id in
+      let expected_ids = List.map string_of_int (List.stable_sort cmp ids) in
+      let expected_presorted =
+        let rec sorted = function a :: (b :: _ as r) -> cmp a b <= 0 && sorted r | _ -> true in
+        if sorted ids then 1 else 0
+      in
+      let runs plan label name =
+        [
+          ("compiled stream", compiled ~xml_streaming:true plan label name);
+          ("compiled DOM", compiled ~xml_streaming:false plan label name);
+          ("interpreted", interpreted plan label name);
+        ]
+      in
+      let sort_runs = runs sort_plan "Sort" "result" and agg_runs = runs agg_plan "Aggregate" "result" in
+      let sort_ids, _ = compiled ~xml_streaming:true sort_plan "Sort" "id" in
+      let sort_ref = fst (List.assoc "interpreted" sort_runs) in
+      let agg_expected =
+        if n = 0 then [ "<root/>" ] else [ "<root>" ^ String.concat "" sort_ref ^ "</root>" ]
+      in
+      let agree what runs expected =
+        List.iter
+          (fun (name, (vs, p)) ->
+            if vs <> expected then
+              QCheck.Test.fail_reportf "%s, %s: got [%s], expected [%s]" what name
+                (String.concat "; " vs) (String.concat "; " expected);
+            if p <> expected_presorted then
+              QCheck.Test.fail_reportf "%s, %s: presorted=%d, expected %d" what name p
+                expected_presorted)
+          runs
+      in
+      if sort_ids <> expected_ids then
+        QCheck.Test.fail_reportf "Sort order [%s], expected the stable order [%s]"
+          (String.concat " " sort_ids) (String.concat " " expected_ids);
+      agree "Sort" sort_runs sort_ref;
+      agree "XMLAgg ORDER BY" agg_runs agg_expected;
+      true)
+
+(* XMLText of NULL emits nothing and XMLText of '' an empty text event:
+   the difference between <a/> and <a></a>, in all three executions *)
+let test_fused_empty_text () =
+  let db = setup_db () in
+  let one e =
+    A.Project ([ (e, "x") ], A.Values { cols = [ "d" ]; rows = [ [ V.Int 0 ] ] })
+  in
+  let all e =
+    let plan = one e in
+    let col (lay, rows) =
+      let s = Option.get (Xdb_rel.Layout.slot_opt lay "x") in
+      V.to_string (List.hd rows).(s)
+    in
+    [
+      col (E.run_arrays db ~xml_streaming:true plan);
+      col (E.run_arrays db ~xml_streaming:false plan);
+      V.to_string (List.assoc "x" (List.hd (E.run_interpreted db plan)));
+    ]
+  in
+  let text v = A.Xml_element ("a", [], [ A.Xml_text (A.Const v) ]) in
+  check (Alcotest.list cs) "XMLText(NULL)" [ "<a/>"; "<a/>"; "<a/>" ] (all (text V.Null));
+  check (Alcotest.list cs) "XMLText('')" [ "<a></a>"; "<a></a>"; "<a></a>" ] (all (text (V.Str "")));
+  check (Alcotest.list cs) "CASE with XML branches"
+    [ "<a><b>1</b></a>"; "<a><b>1</b></a>"; "<a><b>1</b></a>" ]
+    (all
+       (A.Xml_element
+          ( "a",
+            [],
+            [
+              A.Case
+                ( [ (A.Const (V.Int 0), text V.Null) ],
+                  Some (A.Xml_element ("b", [], [ A.Xml_text (A.Const (V.Int 1)) ])) );
+            ] )))
+
 let () =
   Alcotest.run "relational"
     [
@@ -1725,6 +1960,8 @@ let () =
           Alcotest.test_case "plan-open dead CASE branch" `Quick test_compile_dead_case_branch;
           Alcotest.test_case "batch boundaries" `Quick test_batch_boundaries;
           Alcotest.test_case "run_arrays layout" `Quick test_run_arrays_layout;
+          Alcotest.test_case "fused emitters: empty text, CASE" `Quick test_fused_empty_text;
+          QCheck_alcotest.to_alcotest prop_fused_publishing;
         ] );
       ( "instrumentation",
         [

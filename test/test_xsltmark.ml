@@ -209,8 +209,82 @@ let prop_compiled_executor_differential =
           in
           let _, st_i = E.run_interpreted_analyzed dv.D.db plan in
           let _, st_c = E.run_arrays_analyzed dv.D.db plan in
+          let presorted st =
+            List.map (fun (e : Xdb_rel.Stats.entry) -> e.op.Xdb_rel.Stats.presorted)
+              (Xdb_rel.Stats.entries st)
+          in
           rows_same
-          && Xdb_rel.Stats.rows_signature st_i = Xdb_rel.Stats.rows_signature st_c)
+          && Xdb_rel.Stats.rows_signature st_i = Xdb_rel.Stats.rows_signature st_c
+          && presorted st_i = presorted st_c)
+
+(* The avts plan aggregates its rows with XMLAgg ORDER BY the document
+   order, and the rows scan in that order: the sort is skipped and
+   counted.  Flipping the ORDER BY direction makes the same input
+   arrive reversed, so that plan sorts and counts nothing.  Output of
+   both stays identical across the executors. *)
+let test_avts_presorted () =
+  let module A = Xdb_rel.Algebra in
+  let module E = Xdb_rel.Exec in
+  let module St = Xdb_rel.Stats in
+  let case = Option.get (M.find "avts") in
+  let dv = M.dbview_for case 8000 in
+  let db = dv.D.db in
+  let plan = Option.get (PL.compile db dv.D.view case.M.stylesheet).PL.sql_plan in
+  let agg_presorted stats =
+    List.filter_map
+      (fun (e : St.entry) -> if e.St.label = "Aggregate" then Some e.St.op.St.presorted else None)
+      (St.entries stats)
+  in
+  let result (lay, rows) =
+    let s = Option.get (Xdb_rel.Layout.slot_opt lay "result") in
+    List.map (fun (r : Xdb_rel.Value.t array) -> Xdb_rel.Value.to_string r.(s)) rows
+  in
+  let run plan =
+    let out, st = E.run_arrays_analyzed db ~xml_streaming:true plan in
+    let streamed = result out in
+    let irows, ist = E.run_interpreted_analyzed db plan in
+    check (Alcotest.list cs) "interpreted output" streamed
+      (List.map (fun r -> Xdb_rel.Value.to_string (List.assoc "result" r)) irows);
+    check (Alcotest.list ci) "interpreted presorted" (agg_presorted st) (agg_presorted ist);
+    (st, streamed)
+  in
+  let st, _ = run plan in
+  check (Alcotest.list ci) "avts: the XMLAgg sort is skipped" [ 1 ] (agg_presorted st);
+  let analyzed = Xdb_rel.Optimizer.explain_analyze db plan st in
+  let contains sub s =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  check cb "EXPLAIN ANALYZE renders presorted=1" true (contains "presorted=1" analyzed);
+  check cb "JSON carries presorted" true (contains {|"presorted":1|} (St.to_json st));
+  (* the same plan with every ORDER BY direction flipped *)
+  let flip = List.map (fun (k, d) -> (k, if d = A.Asc then A.Desc else A.Asc)) in
+  let rec fe = function
+    | A.Xml_element (n, at, kids) -> A.Xml_element (n, at, List.map fe kids)
+    | A.Xml_concat es -> A.Xml_concat (List.map fe es)
+    | A.Scalar_subquery p -> A.Scalar_subquery (fp p)
+    | e -> e
+  and fp = function
+    | A.Project (fs, i) -> A.Project (List.map (fun (e, n) -> (fe e, n)) fs, fp i)
+    | A.Filter (c, i) -> A.Filter (c, fp i)
+    | A.Aggregate { group_by; aggs; input } ->
+        A.Aggregate
+          {
+            group_by;
+            aggs =
+              List.map
+                (function A.Xml_agg (e, o), n -> (A.Xml_agg (fe e, flip o), n) | a -> a)
+                aggs;
+            input = fp input;
+          }
+    | p -> p
+  in
+  let reversed = fp plan in
+  check cb "the flipped plan differs" true (reversed <> plan);
+  let st', out' = run reversed in
+  check (Alcotest.list ci) "reversed keys: sorted, not counted" [ 0 ] (agg_presorted st');
+  check cb "reversed plan output differs" true (out' <> snd (run plan))
 
 let () =
   let all = M.all @ M.extras in
@@ -231,6 +305,7 @@ let () =
           (fun (c : M.case) -> Alcotest.test_case c.M.name `Quick (streaming_case c))
           all );
       ("statistics", [ Alcotest.test_case "23/40 inline" `Quick inline_statistic ]);
+      ("presorted", [ Alcotest.test_case "avts XMLAgg at 8k rows" `Quick test_avts_presorted ]);
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_random_stylesheets;
