@@ -324,13 +324,21 @@ let shred_cmd =
             if explain_steps then (
               match Xdb_xpath.Parser.parse q with
               | Xdb_xpath.Ast.Path { steps; _ } ->
+                  (* the plan lines are the ~batch:false reference, which
+                     runs the path's own steps even where batch mode
+                     collapses two of them *)
                   List.iter
-                    (fun (st : Xdb_xpath.Ast.step) ->
-                      Printf.printf "-- step %s\n   batch: %s\n%s\n"
-                        (Xdb_xpath.Ast.step_to_string st)
-                        (Xdb_rel.Shred.batch_explain st)
-                        (Xdb_rel.Shred.explain_step s st))
-                    steps
+                    (fun ((st : Xdb_xpath.Ast.step), how, sources) ->
+                      Printf.printf "-- step %s\n   batch: %s\n"
+                        (Xdb_xpath.Ast.step_to_string st) how;
+                      List.iter
+                        (fun (src : Xdb_xpath.Ast.step) ->
+                          if sources <> [ st ] then
+                            Printf.printf "   per-context plan of %s:\n"
+                              (Xdb_xpath.Ast.step_to_string src);
+                          print_endline (Xdb_rel.Shred.explain_step s src))
+                        sources)
+                    (Xdb_rel.Shred.batch_explain_steps steps)
               | _ -> prerr_endline "(--explain: not a path expression)"))
   in
   Cmd.v

@@ -403,9 +403,9 @@ let run_shredded ?metrics ?pool (shred : Xdb_rel.Shred.t)
   let out =
     match pool with
     | Some pool when Parallel.jobs pool > 1 && List.length docids > 1 ->
-        (* Shred.t is not domain-safe: parallel runs keep the legacy
-           reconstruct-then-VM strategy (reconstruction itself stays
-           sequential for the same reason) *)
+        (* parallel runs keep the reconstruct-then-DOM-VM strategy: the
+           shred handle's caches are safe to fill from several domains,
+           but Shred_vm does not run under the pool yet *)
         let docs =
           staged metrics "reconstruct" (fun () ->
               List.map (Xdb_rel.Shred.reconstruct shred) docids)

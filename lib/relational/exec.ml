@@ -779,6 +779,18 @@ let instrumented_open (s : Stats.op_stats) open_ (outer : Value.t array) : curso
     (match b with Some rows -> s.Stats.rows <- s.Stats.rows + Array.length rows | None -> ());
     b
 
+(* An XMLAgg's stream runs its member emitters, and the subplans inside
+   them, when a consumer drains it — after the Aggregate's timed pull has
+   returned.  Under stats the producer carries its own clock and adds its
+   wall time to the Aggregate, so the Aggregate's inclusive time covers
+   its members' subplans. *)
+let charged (s : Stats.op_stats) produce sink =
+  let t0 = Unix.gettimeofday () in
+  Fun.protect
+    ~finally:(fun () ->
+      s.Stats.time_ms <- s.Stats.time_ms +. ((Unix.gettimeofday () -. t0) *. 1000.0))
+    (fun () -> produce sink)
+
 (* SQL truth values, shared rather than boxed per row *)
 let v_true = Value.Int 1
 let v_false = Value.Int 0
@@ -1037,7 +1049,7 @@ and cfn ctx lay f args =
 
 (* Aggregates over one group's members, in input order.  [sorted] is set
    when an ordered XMLAgg had to sort them (the presorted counter). *)
-and cagg ctx lay sorted (a : agg) : Value.t array array -> Value.t =
+and cagg ctx lay sorted ?charge (a : agg) : Value.t array array -> Value.t =
   let count_non_null f ms =
     let c = ref 0 in
     for i = 0 to Array.length ms - 1 do
@@ -1102,10 +1114,11 @@ and cagg ctx lay sorted (a : agg) : Value.t array array -> Value.t =
       let kfs = Array.of_list (List.map (fun (k, _) -> cexpr ctx lay k) order) in
       let desc = Array.of_list (List.map (fun (_, d) -> d = Desc) order) in
       let streaming = ctx.cxml_streaming in
+      let timed = match charge with Some s when streaming -> charged s | _ -> Fun.id in
       fun ms ->
         let ordered = order_rows kfs desc ms in
         if ordered != ms then sorted := true;
-        xml_value ~streaming (fun sink -> Array.iter (fun r -> em r sink) ordered)
+        xml_value ~streaming (timed (fun sink -> Array.iter (fun r -> em r sink) ordered))
   | String_agg (e, sep) ->
       let f = cexpr ctx lay e in
       fun ms ->
@@ -1421,7 +1434,9 @@ and cplan ctx (outer_lay : Layout.t) (p : plan) : compiled =
         let ci = cplan ctx outer_lay input in
         let gfs = Array.of_list (List.map (fun (e, _) -> cexpr ctx ci.c_layout e) group_by) in
         let sorted = ref false in
-        let afs = Array.of_list (List.map (fun (a, _) -> cagg ctx ci.c_layout sorted a) aggs) in
+        let afs =
+          Array.of_list (List.map (fun (a, _) -> cagg ctx ci.c_layout sorted ?charge:sopt a) aggs)
+        in
         let ordered_agg =
           List.exists (function Xml_agg (_, _ :: _), _ -> true | _ -> false) aggs
         in

@@ -1,7 +1,9 @@
 (* Interval-encoded XML shredding: node-per-row storage with pre/post
-   numbering, packed composite keys, and location steps compiled once per
-   shape into correlated plans the optimizer answers with B-tree range
-   scans.  See shred.mli for the encoding contract. *)
+   numbering, packed composite keys, and location steps answered a whole
+   context at a time off each document's cached pre-ordered rows array.
+   The reference strategy compiles each step shape once into a correlated
+   plan the optimizer answers with B-tree range scans.  See shred.mli for
+   the encoding contract. *)
 
 module X = Xdb_xml.Types
 module XA = Xdb_xpath.Ast
@@ -60,6 +62,20 @@ type rebuilt = {
   by_pre : X.node option array;
 }
 
+module Imap = Map.Make (Int)
+
+module Plan_map = Map.Make (struct
+  type t = plan_key
+
+  let compare = compare
+end)
+
+(* The three caches are filled while the engine's lock is only held for
+   reading, so several domains may fill them at once.  Each is an
+   immutable map behind an [Atomic]: lookups never lock (the child step
+   reads [rows_cache] once per context document), and a miss fills under
+   [fill_lock].  Everything else mutable here ([names], [doc_meta], the
+   id counters) changes only under the engine's write lock. *)
 type t = {
   db : Database.t;
   tbl : Table.t;
@@ -68,15 +84,16 @@ type t = {
   mutable next_nid : int;
   mutable next_docid : int;
   doc_meta : (int, node) Hashtbl.t;
-  plans : (plan_key, Exec.compiled) Hashtbl.t;
-  rebuilt_cache : (int, rebuilt) Hashtbl.t;
-  rows_cache : (int, node array * int array) Hashtbl.t;
+  fill_lock : Mutex.t;
+  plans : Exec.compiled Plan_map.t Atomic.t;
+  rebuilt_cache : rebuilt Imap.t Atomic.t;
+  rows_cache : (node array * int array) Imap.t Atomic.t;
       (** pre-ordered decoded rows + pre → index, per docid — the batch
           evaluator's working set, built {e without} the DOM *)
   outer_layout : Layout.t;
-  mutable n_batch : int;
-  mutable n_rel : int;
-  mutable n_fallback : int;
+  n_batch : int Atomic.t;
+  n_rel : int Atomic.t;
+  n_fallback : int Atomic.t;
 }
 
 let scan_alias = "s"
@@ -113,13 +130,14 @@ let create ?(table = "xmlnodes") db =
       next_nid = 0;
       next_docid = 1;
       doc_meta = Hashtbl.create 16;
-      plans = Hashtbl.create 32;
-      rebuilt_cache = Hashtbl.create 16;
-      rows_cache = Hashtbl.create 16;
+      fill_lock = Mutex.create ();
+      plans = Atomic.make Plan_map.empty;
+      rebuilt_cache = Atomic.make Imap.empty;
+      rows_cache = Atomic.make Imap.empty;
       outer_layout = Layout.of_columns ~alias:outer_alias outer_cols;
-      n_batch = 0;
-      n_rel = 0;
-      n_fallback = 0;
+      n_batch = Atomic.make 0;
+      n_rel = Atomic.make 0;
+      n_fallback = Atomic.make 0;
     }
   in
   (* nid 0 is the unnamed kinds' slot, so packed [dnk] keys cluster them *)
@@ -266,7 +284,25 @@ let stats t = (Hashtbl.length t.doc_meta, Table.size t.tbl)
 type counter_totals = { batch_steps : int; rel_steps : int; dom_fallbacks : int }
 
 let counters t =
-  { batch_steps = t.n_batch; rel_steps = t.n_rel; dom_fallbacks = t.n_fallback }
+  {
+    batch_steps = Atomic.get t.n_batch;
+    rel_steps = Atomic.get t.n_rel;
+    dom_fallbacks = Atomic.get t.n_fallback;
+  }
+
+(* a cache lookup that never locks; a miss builds under [fill_lock],
+   looking again first, so each entry is built once *)
+let cached (find_opt, add) t cell key build =
+  match find_opt key (Atomic.get cell) with
+  | Some v -> v
+  | None ->
+      Mutex.protect t.fill_lock (fun () ->
+          match find_opt key (Atomic.get cell) with
+          | Some v -> v
+          | None ->
+              let v = build () in
+              Atomic.set cell (add key v (Atomic.get cell));
+              v)
 
 (* ------------------------------------------------------------------ *)
 (* Row decoding                                                        *)
@@ -299,8 +335,8 @@ let tables t = [ t.tbl.Table.tbl_name; t.names_tbl.Table.tbl_name ]
     re-read from the names table.  Compiled step plans survive — they
     depend on the table's shape, not its rows. *)
 let invalidate_caches t =
-  Hashtbl.reset t.rebuilt_cache;
-  Hashtbl.reset t.rows_cache;
+  Atomic.set t.rebuilt_cache Imap.empty;
+  Atomic.set t.rows_cache Imap.empty;
   Hashtbl.reset t.doc_meta;
   Table.iter
     (fun _ row ->
@@ -389,12 +425,7 @@ let rebuild t docid : rebuilt =
   { dom; rows; row_ix; by_pre }
 
 let rebuilt t docid =
-  match Hashtbl.find_opt t.rebuilt_cache docid with
-  | Some rb -> rb
-  | None ->
-      let rb = rebuild t docid in
-      Hashtbl.add t.rebuilt_cache docid rb;
-      rb
+  cached Imap.(find_opt, add) t t.rebuilt_cache docid (fun () -> rebuild t docid)
 
 let reconstruct t docid = (rebuilt t docid).dom
 
@@ -402,49 +433,64 @@ let reconstruct t docid = (rebuilt t docid).dom
    pre → index map, without building the DOM (reusing the rebuilt cache's
    arrays when a reconstruction already paid for them) *)
 let doc_rows_ix t docid =
-  match Hashtbl.find_opt t.rows_cache docid with
-  | Some v -> v
-  | None ->
-      let rows, row_ix =
-        match Hashtbl.find_opt t.rebuilt_cache docid with
-        | Some rb -> (rb.rows, rb.row_ix)
-        | None ->
-            let rows = doc_rows t docid in
-            if Array.length rows = 0 then err "no rows for docid %d" docid;
-            let row_ix = Array.make (rows.(0).post + 1) (-1) in
-            Array.iteri (fun i r -> row_ix.(r.pre) <- i) rows;
-            (rows, row_ix)
-      in
-      Hashtbl.add t.rows_cache docid (rows, row_ix);
-      (rows, row_ix)
+  cached Imap.(find_opt, add) t t.rows_cache docid (fun () ->
+      match Imap.find_opt docid (Atomic.get t.rebuilt_cache) with
+      | Some rb -> (rb.rows, rb.row_ix)
+      | None ->
+          let rows = doc_rows t docid in
+          if Array.length rows = 0 then err "no rows for docid %d" docid;
+          let row_ix = Array.make (rows.(0).post + 1) (-1) in
+          Array.iteri (fun i r -> row_ix.(r.pre) <- i) rows;
+          (rows, row_ix))
 
-let row_by_pre t docid pre =
-  let rows, row_ix = doc_rows_ix t docid in
+(* ---- navigation over one document's rows array -------------------- *)
+
+(* Every axis from one context node is a walk over [(rows, row_ix)]: the
+   rows in pre order plus the pre → index map.  No B-tree probe, no row
+   decode. *)
+
+let row_at (rows, row_ix) pre =
   if pre < 0 || pre >= Array.length row_ix then None
   else
     let ix = row_ix.(pre) in
     if ix < 0 then None else Some rows.(ix)
 
-let parent_row t (r : node) = if r.parent < 0 then None else row_by_pre t r.docid r.parent
+let parent_row t (r : node) = row_at (doc_rows_ix t r.docid) r.parent
 
-(* direct children (attributes included) off the pre-ordered rows array:
-   first owned row sits right after the owner, each sibling starts at the
-   tick after the previous subtree's last — O(1) per child, no probe *)
-let iter_owned t (c : node) (f : node -> unit) =
-  if c.post > c.pre then begin
-    let rows, row_ix = doc_rows_ix t c.docid in
-    let rec go ix =
-      if ix >= 0 && ix < Array.length rows then begin
-        let r = rows.(ix) in
-        if r.parent = c.pre then begin
-          f r;
-          let nxt = r.post + 1 in
-          if nxt < Array.length row_ix then go row_ix.(nxt)
-        end
+(* [f] over the sibling chain under [parent] starting at row index [ix],
+   stopping before the first row at or past pre [until]: each next
+   sibling starts at the tick after the previous subtree's last, so the
+   walk is O(1) per sibling; a post-only tick (-1) or a row of another
+   parent ends the chain *)
+let iter_chain (rows, row_ix) ~parent ?(until = max_int) ix (f : node -> unit) =
+  let rec go ix =
+    if ix >= 0 && ix < Array.length rows then begin
+      let r = rows.(ix) in
+      if r.parent = parent && r.pre < until then begin
+        f r;
+        let nxt = r.post + 1 in
+        if nxt < Array.length row_ix then go row_ix.(nxt)
       end
-    in
-    go (row_ix.(c.pre) + 1)
-  end
+    end
+  in
+  go ix
+
+(* the rows [c] owns — attributes, then children — in document order *)
+let iter_owned_in ((_, row_ix) as arrs) (c : node) f =
+  if c.post > c.pre then iter_chain arrs ~parent:c.pre (row_ix.(c.pre) + 1) f
+
+let iter_owned t (c : node) f = iter_owned_in (doc_rows_ix t c.docid) c f
+
+(* the rows arrays of a context's document, looked up again only when the
+   docid changes along a context list *)
+let doc_arrays t =
+  let cur = ref min_int and arrs = ref ([||], [||]) in
+  fun docid ->
+    if docid <> !cur then begin
+      cur := docid;
+      arrs := doc_rows_ix t docid
+    end;
+    !arrs
 
 let children t (c : node) =
   let acc = ref [] in
@@ -535,13 +581,9 @@ let compiled_plan t axis (spec : AR.spec) ~via_dnk =
   let key =
     { pk_axis = axis; pk_kinds = spec.kinds; pk_named = spec.name <> None; pk_dnk = via_dnk }
   in
-  match Hashtbl.find_opt t.plans key with
-  | Some c -> c
-  | None ->
+  cached Plan_map.(find_opt, add) t t.plans key (fun () ->
       let plan = Optimizer.optimize t.db (build_plan t axis spec ~via_dnk) in
-      let compiled = Exec.compile t.db ~outer:t.outer_layout plan in
-      Hashtbl.add t.plans key compiled;
-      compiled
+      Exec.compile t.db ~outer:t.outer_layout plan)
 
 let explain_step t (step : XA.step) =
   match AR.compile step.axis step.test with
@@ -628,7 +670,7 @@ let step_source t (axis : XA.axis) (spec : AR.spec) : node -> node list =
                     (XA.axis_name axis)));
           if needs_parent && r.parent < 0 then []
           else (
-            t.n_rel <- t.n_rel + 1;
+            Atomic.incr t.n_rel;
             let doc = doc_node t r.docid in
             let nklo = if via_dnk then pack_dnk r.docid nid r.pre else 0
             and nkhi = if via_dnk then pack_dnk r.docid nid r.post else 0 in
@@ -741,28 +783,19 @@ let pcompare op a b =
 (* Between steps a context is a sorted, duplicate-free node list (the
    doc_order_dedup invariant), i.e. an ascending sequence of (docid, pre)
    intervals — exactly what the staircase merges below exploit.  Each
-   batch step costs one pass over the context instead of one compiled
-   plan open per context node. *)
+   batch step costs one pass over the context, reading the cached
+   pre-ordered rows array; only the descendant sweeps touch an index. *)
 
 let index_tree t col =
   match Table.find_index t.tbl col with
   | Some idx -> idx.Table.tree
   | None -> err "missing %s index on %s" col (table_name t)
 
-let decode t rid = node_of_slots (Table.unsafe_row t.tbl rid)
-
-let batch_axis_ok : XA.axis -> bool = function
-  | XA.Self | XA.Child | XA.Attribute | XA.Parent | XA.Descendant
-  | XA.Descendant_or_self | XA.Ancestor | XA.Ancestor_or_self ->
-      true
-  | _ -> false
-
-(* one merged [dparent]-index sweep: ascending context nodes, one point
-   probe each ({!Btree.iter_range}, nothing materialised); distinct
-   parents own disjoint child blocks ordered like their parents, so the
-   result is already in document order unless the contexts nest *)
+(* each context's owned rows are one sibling-chain walk; distinct parents
+   own disjoint row blocks ordered like their parents, so the result is
+   already in document order unless the contexts nest *)
 let batch_child t (spec : AR.spec) (ctx : node list) : node list =
-  let tree = index_tree t "dparent" in
+  let arrays = doc_arrays t in
   let acc = ref [] in
   let nested = ref false in
   let curdoc = ref min_int and maxpost = ref min_int in
@@ -774,11 +807,7 @@ let batch_child t (spec : AR.spec) (ctx : node list) : node list =
       end
       else if c.pre < !maxpost then nested := true;
       if c.post > !maxpost then maxpost := c.post;
-      let key = Value.Int (pack_dpre c.docid c.pre) in
-      Btree.iter_range tree ~lo:(Btree.Inclusive key) ~hi:(Btree.Inclusive key)
-        (fun _key rid ->
-          let r = decode t rid in
-          if row_matches spec r then acc := r :: !acc))
+      iter_owned_in (arrays c.docid) c (fun r -> if row_matches spec r then acc := r :: !acc))
     ctx;
   let out = List.rev !acc in
   if !nested then List.sort doc_order_cmp out else out
@@ -798,20 +827,18 @@ let batch_descendant t axis (spec : AR.spec) (ctx : node list) : node list =
   | None -> [] (* name never seen: statically empty *)
   | Some nid ->
       let tree = index_tree t (if via_dnk then "dnk" else "dpre") in
+      let arrays = doc_arrays t in
       let acc = ref [] in
-      let curdoc = ref min_int and cover = ref min_int in
-      let rows = ref [||] and row_ix = ref [||] in
+      let cover = ref min_int and curdoc = ref min_int in
       let pre_mask = max_ticks - 1 in
       List.iter
         (fun c ->
           if c.docid <> !curdoc then begin
             curdoc := c.docid;
-            cover := min_int;
-            let r, ix = doc_rows_ix t c.docid in
-            rows := r;
-            row_ix := ix
+            cover := min_int
           end;
           if c.pre > !cover then begin
+            let rows, row_ix = arrays c.docid in
             let key pre =
               Value.Int
                 (if via_dnk then pack_dnk c.docid nid pre else pack_dpre c.docid pre)
@@ -827,7 +854,7 @@ let batch_descendant t axis (spec : AR.spec) (ctx : node list) : node list =
             Btree.iter_range tree ~lo ~hi (fun key _rid ->
                 match key with
                 | Value.Int k ->
-                    let r = !rows.(!row_ix.(k land pre_mask)) in
+                    let r = rows.(row_ix.(k land pre_mask)) in
                     if row_matches spec r then acc := r :: !acc
                 | _ -> ());
             cover := c.post
@@ -836,10 +863,11 @@ let batch_descendant t axis (spec : AR.spec) (ctx : node list) : node list =
       List.rev !acc
 
 let batch_parent t (spec : AR.spec) (ctx : node list) : node list =
+  let arrays = doc_arrays t in
   let acc = ref [] in
   List.iter
     (fun c ->
-      match parent_row t c with
+      match row_at (arrays c.docid) c.parent with
       | Some r when row_matches spec r -> acc := r :: !acc
       | _ -> ())
     ctx;
@@ -851,11 +879,12 @@ let batch_parent t (spec : AR.spec) (ctx : node list) : node list =
    not |ctx| · depth *)
 let batch_ancestor t axis (spec : AR.spec) (ctx : node list) : node list =
   let or_self = axis = XA.Ancestor_or_self in
+  let arrays = doc_arrays t in
   let seen : (int, Bytes.t) Hashtbl.t = Hashtbl.create 4 in
   let acc = ref [] in
   List.iter
     (fun c ->
-      let _, row_ix = doc_rows_ix t c.docid in
+      let ((_, row_ix) as arrs) = arrays c.docid in
       let marks =
         match Hashtbl.find_opt seen c.docid with
         | Some b -> b
@@ -867,7 +896,7 @@ let batch_ancestor t axis (spec : AR.spec) (ctx : node list) : node list =
       let rec walk pre =
         if pre >= 0 && Bytes.get marks pre = '\000' then begin
           Bytes.set marks pre '\001';
-          match row_by_pre t c.docid pre with
+          match row_at arrs pre with
           | None -> ()
           | Some r ->
               if row_matches spec r then acc := r :: !acc;
@@ -878,15 +907,64 @@ let batch_ancestor t axis (spec : AR.spec) (ctx : node list) : node list =
     ctx;
   List.sort doc_order_cmp !acc
 
+(* one step from one context node, in document order: a walk over the
+   rows array (the descendant axes sweep their index once instead) *)
+let axis_from t axis (spec : AR.spec) : node -> node list =
+  let arrays = doc_arrays t in
+  let collect walk c =
+    let acc = ref [] in
+    walk (arrays c.docid) c (fun r -> if row_matches spec r then acc := r :: !acc);
+    List.rev !acc
+  in
+  match axis with
+  | XA.Self -> fun c -> if row_matches spec c then [ c ] else []
+  | XA.Child | XA.Attribute -> collect iter_owned_in
+  | XA.Descendant | XA.Descendant_or_self -> fun c -> batch_descendant t axis spec [ c ]
+  | XA.Parent -> collect (fun arrs c f -> Option.iter f (row_at arrs c.parent))
+  | XA.Ancestor | XA.Ancestor_or_self ->
+      collect (fun arrs c f ->
+          let rec up acc pre =
+            match row_at arrs pre with Some r -> up (r :: acc) r.parent | None -> acc
+          in
+          List.iter f (up [] (if axis = XA.Ancestor then c.parent else c.pre)))
+  | XA.Following_sibling ->
+      collect (fun ((_, row_ix) as arrs) c f ->
+          let nxt = c.post + 1 in
+          if c.parent >= 0 && nxt < Array.length row_ix then
+            iter_chain arrs ~parent:c.parent row_ix.(nxt) f)
+  | XA.Preceding_sibling ->
+      collect (fun ((_, row_ix) as arrs) c f ->
+          if c.parent >= 0 then
+            iter_chain arrs ~parent:c.parent ~until:c.pre (row_ix.(c.parent) + 1) f)
+  | XA.Following ->
+      (* past the context's subtree, to the end of the document *)
+      collect (fun (rows, row_ix) c f ->
+          let n = Array.length rows in
+          let i = ref (row_ix.(c.pre) + 1) in
+          while !i < n && rows.(!i).pre <= c.post do
+            incr i
+          done;
+          for j = !i to n - 1 do
+            f rows.(j)
+          done)
+  | XA.Preceding ->
+      (* rows starting before the context, minus its ancestors *)
+      collect (fun (rows, row_ix) c f ->
+          for j = 0 to row_ix.(c.pre) - 1 do
+            if rows.(j).post < c.pre then f rows.(j)
+          done)
+  | XA.Namespace -> fun _ -> []
+
 let batch_axis t axis (spec : AR.spec) (ctx : node list) : node list =
-  t.n_batch <- t.n_batch + 1;
   match axis with
   | XA.Self -> List.filter (row_matches spec) ctx
   | XA.Child | XA.Attribute -> batch_child t spec ctx
   | XA.Descendant | XA.Descendant_or_self -> batch_descendant t axis spec ctx
   | XA.Parent -> batch_parent t spec ctx
   | XA.Ancestor | XA.Ancestor_or_self -> batch_ancestor t axis spec ctx
-  | _ -> assert false
+  | XA.Following | XA.Preceding | XA.Following_sibling | XA.Preceding_sibling ->
+      doc_order_dedup (List.concat_map (axis_from t axis spec) ctx)
+  | XA.Namespace -> []
 
 (* ---- batchable predicates: position-insensitive boolean row tests --- *)
 
@@ -921,6 +999,20 @@ let boolean_valued (e : XA.expr) =
    (they depend only on the candidate row), so applying them after the
    merged step equals applying them per context node *)
 let batchable_pred p = boolean_valued p && not (uses_position p)
+
+(* [descendant-or-self::node()/child::T[p…]], the expansion of [//T[p…]],
+   is [descendant::T[p…]] when every [p] is row-local: one staircase
+   sweep instead of a sweep over every node plus a child step from each.
+   A positional [p] counts among one parent's children ([//a[2]]), and
+   [//@x] is an attribute step, so neither collapses. *)
+let rec collapse_steps = function
+  | { XA.axis = XA.Descendant_or_self; test = XA.Node_type_test XA.Any_node; predicates = [] }
+    :: ({ XA.axis = XA.Child; predicates; _ } as s)
+    :: rest
+    when List.for_all batchable_pred predicates ->
+      { s with XA.axis = XA.Descendant } :: collapse_steps rest
+  | s :: rest -> s :: collapse_steps rest
+  | [] -> []
 
 (* the sort-merge value-predicate subset: [. cmp lit], [step] and
    [step cmp lit] for one unpredicated child/attribute step *)
@@ -1002,25 +1094,32 @@ let row_qname (r : node) =
 let rec eval_step t env rows (step : XA.step) =
   match AR.compile step.axis step.test with
   | None -> []
+  | Some spec when not env.batch ->
+      per_context t env (step_source t step.axis spec) step.XA.predicates rows
   | Some spec ->
-      if
-        env.batch && batch_axis_ok step.axis
-        && List.for_all batchable_pred step.XA.predicates
-      then
+      if (not spec.attr_ok) && List.exists (fun r -> r.kind = "attr") rows then
+        unsupported "%s axis from an attribute context node" (XA.axis_name step.axis);
+      Atomic.incr t.n_batch;
+      if List.for_all batchable_pred step.XA.predicates then
         let cands = batch_axis t step.axis spec rows in
         List.fold_left (fun cs p -> batch_filter t env cs p) cands step.XA.predicates
       else
-        let candidates = step_source t step.axis spec in
-        let out =
-          List.concat_map
-            (fun r ->
-              let cands = candidates r in
-              List.fold_left (fun cs p -> filter_pred t env cs p) cands step.XA.predicates)
-            rows
-        in
-        doc_order_dedup out
+        (* a positional predicate counts among one context's candidates:
+           walk the rows array from each context, in proximity order *)
+        let from = axis_from t step.axis spec in
+        let candidates = if spec.reverse then fun r -> List.rev (from r) else from in
+        per_context t env candidates step.XA.predicates rows
 
-and eval_steps t env rows steps = List.fold_left (eval_step t env) rows steps
+and eval_steps t env rows steps =
+  List.fold_left (eval_step t env) rows (if env.batch then collapse_steps steps else steps)
+
+(* candidates per context node, predicates applied to each context's own
+   list, results merged in document order *)
+and per_context t env candidates preds rows =
+  doc_order_dedup
+    (List.concat_map
+       (fun r -> List.fold_left (fun cs p -> filter_pred t env cs p) (candidates r) preds)
+       rows)
 
 (* a batchable predicate is a row-local boolean: the sort-merge form when
    it fits, else one evaluation per candidate at an arbitrary position
@@ -1270,36 +1369,47 @@ let subtree t (r0 : node) : X.node =
       in
       build ()
 
-(* the batch strategy a step evaluates with (CLI --explain) *)
+(* the strategy the batch evaluator runs a step with *)
 let batch_explain (step : XA.step) =
   match AR.compile step.XA.axis step.XA.test with
   | None -> "statically empty"
   | Some spec ->
-      if not (batch_axis_ok step.XA.axis) then "per-context plan (axis outside the batch subset)"
-      else if not (List.for_all batchable_pred step.XA.predicates) then
-        "per-context plan (positional predicate)"
-      else
-        let how =
-          match step.XA.axis with
-          | XA.Self -> "context-row filter"
-          | XA.Child | XA.Attribute -> "merged dparent point probes"
-          | XA.Descendant | XA.Descendant_or_self ->
-              if use_dnk step.XA.axis spec then "staircase dnk interval sweep"
-              else "staircase dpre interval sweep"
-          | XA.Parent -> "parent map over the rows array"
-          | XA.Ancestor | XA.Ancestor_or_self -> "marked parent-chain walk"
-          | _ -> assert false
-        in
-        let preds =
-          List.map
-            (fun p ->
-              match classify_pred p with
-              | Some _ -> "sort-merge value filter"
-              | None when batchable_pred p -> "row-local predicate"
-              | None -> "per-candidate predicate")
-            step.XA.predicates
-        in
-        String.concat " + " (how :: preds)
+      let batched = List.for_all batchable_pred step.XA.predicates in
+      let how =
+        match step.XA.axis with
+        | XA.Self -> "context-row filter"
+        | XA.Child | XA.Attribute -> "owned-row walk over the rows array"
+        | XA.Descendant | XA.Descendant_or_self ->
+            if use_dnk step.XA.axis spec then "staircase dnk interval sweep"
+            else "staircase dpre interval sweep"
+        | XA.Parent -> "parent map over the rows array"
+        | XA.Ancestor | XA.Ancestor_or_self -> "marked parent-chain walk"
+        | XA.Following_sibling | XA.Preceding_sibling -> "sibling-chain walk"
+        | XA.Following | XA.Preceding -> "rows-array scan"
+        | XA.Namespace -> "statically empty"
+      in
+      let how = if batched then how else "per-context " ^ how ^ " (positional predicate)" in
+      let preds =
+        List.map
+          (fun p ->
+            match classify_pred p with
+            | Some _ when batched -> "sort-merge value filter"
+            | _ when batched -> "row-local predicate"
+            | _ -> "per-candidate predicate")
+          step.XA.predicates
+      in
+      String.concat " + " (how :: preds)
+
+let batch_explain_steps steps =
+  let rec go = function
+    | dos :: child :: rest -> (
+        match collapse_steps [ dos; child ] with
+        | [ s ] -> (s, "collapsed // → " ^ batch_explain s, [ dos; child ]) :: go rest
+        | _ -> (dos, batch_explain dos, [ dos ]) :: go (child :: rest))
+    | [ s ] -> [ (s, batch_explain s, [ s ]) ]
+    | [] -> []
+  in
+  go steps
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
@@ -1315,7 +1425,7 @@ let select t ?(batch = true) ~docid expr_s =
   with Unsupported _ ->
     (* outside the relational subset: answer over the reconstructed tree
        and map the DOM result back through its pre stamps *)
-    t.n_fallback <- t.n_fallback + 1;
+    Atomic.incr t.n_fallback;
     let rb = rebuilt t docid in
     let nodes = XE.select (XE.make_context rb.dom) expr_s in
     List.map

@@ -18,18 +18,29 @@
     translation:
 
     - {b Set-at-a-time} (the default): the context node-set is a sorted
-      (docid, pre) sequence, and a whole step is answered in one pass —
-      a staircase merge of [dpre]/[dnk] interval sweeps for descendant
-      (context intervals covered by an earlier interval are skipped), a
-      single merged [dparent]-index sweep of point probes for child, a
-      marked parent-chain walk for ancestor, and a zero-probe sort-merge
-      pass over the pre-ordered rows array for the common value-predicate
-      shapes ([@k='v'], [child='v']).
-    - {b Per-context} (axes or predicates outside the batch subset, or
-      [~batch:false]): each step compiles {e once} per shape into a
-      correlated plan (outer alias ["c"] carries the context node's
-      values) opened per context node, answered by {!Optimizer}-chosen
-      {!Algebra.Index_scan} range probes.
+      (docid, pre) sequence, and every step reads the document's cached
+      pre-ordered rows array (no per-context B-tree probe, no row
+      decode): an owned-row walk for child and attribute, a parent map
+      and a marked parent-chain walk for parent and ancestor, a
+      sibling-chain walk or rows-array scan from each context for the
+      sibling, following and preceding axes, and a zero-probe sort-merge
+      pass for the common value-predicate shapes ([@k='v'], [child='v']).
+      Descendant is a staircase merge of [dpre]/[dnk] interval sweeps
+      (context intervals covered by an earlier interval are skipped),
+      and [//T[p…]] with row-local predicates runs as that one
+      [descendant::T[p…]] sweep.  A positional predicate is applied to
+      each context's own candidates, walked off the rows array in
+      proximity order.
+    - {b Per-context} ([~batch:false]): each step compiles {e once} per
+      shape into a correlated plan (outer alias ["c"] carries the context
+      node's values) opened per context node, answered by
+      {!Optimizer}-chosen {!Algebra.Index_scan} range probes — the
+      reference the set-at-a-time answers are tested against.
+
+    The handle may be shared by domains that only read it: its row,
+    reconstruction and plan caches fill under a mutex and are read
+    without one, and its counters are atomic.  Storing documents and
+    {!invalidate_caches} need exclusive access.
 
     Constructs outside the relational subset raise {!Unsupported};
     {!select} then falls back to the DOM interpreter over the
@@ -104,8 +115,8 @@ val stats : t -> int * int
 (** (documents, node rows) stored. *)
 
 type counter_totals = {
-  batch_steps : int;  (** set-at-a-time step evaluations (one per step) *)
-  rel_steps : int;  (** per-context correlated plan openings *)
+  batch_steps : int;  (** steps answered off the rows arrays (one per step) *)
+  rel_steps : int;  (** per-context correlated plan openings ([~batch:false]) *)
   dom_fallbacks : int;  (** whole-expression DOM fallbacks *)
 }
 
@@ -132,11 +143,10 @@ val subtree : t -> node -> Xdb_xml.Types.node
     transform path performs (for [xsl:copy-of] and friends). *)
 
 val axis_step : t -> ?batch:bool -> node list -> Xdb_xpath.Ast.step -> node list
-(** Evaluate one location step over a context node-set, set-at-a-time
-    when the axis and predicates allow it (per-context otherwise, or
-    always with [~batch:false]); predicates applied per the XPath
-    positional rules, results merged in document order without
-    duplicates.
+(** Evaluate one location step over a context node-set off the rows
+    arrays (through the per-context plans with [~batch:false]);
+    predicates applied per the XPath positional rules, results merged in
+    document order without duplicates.
     @raise Unsupported for constructs outside the relational subset or
     sibling/following/preceding steps from attribute contexts. *)
 
@@ -202,7 +212,14 @@ val explain_step : t -> Xdb_xpath.Ast.step -> string
     ({!Algebra.explain}), or ["<empty>"] for statically empty steps —
     lets tests assert an [Index_scan] was chosen. *)
 
-val batch_explain : Xdb_xpath.Ast.step -> string
-(** The set-at-a-time strategy the step evaluates with (staircase sweep,
-    merged point probes, …), or why it stays on the per-context plan —
-    the [batch] column of [xdb_cli shred --explain]. *)
+val batch_explain_steps :
+  Xdb_xpath.Ast.step list ->
+  (Xdb_xpath.Ast.step * string * Xdb_xpath.Ast.step list) list
+(** The steps the set-at-a-time evaluator runs for a path, each with its
+    strategy (staircase sweep, owned-row walk, …, or per-context
+    candidates for a positional predicate) and the path's own steps it
+    stands for — the [batch] lines of [xdb_cli shred --explain].  A
+    [//T[p…]] pair that runs as one descendant sweep appears as that
+    single [descendant::T[p…]] step, its strategy prefixed
+    ["collapsed // → "], standing for both original steps (which
+    [~batch:false] still runs one after the other). *)

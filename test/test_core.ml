@@ -1219,6 +1219,85 @@ let test_shredded_xsltmark_parity () =
     (!fallbacks * 4 <= !total);
   EN.shutdown engine
 
+(* Two domains hold the engine's read lock at once over different
+   documents, starting from cold caches: they fill the shred store's row,
+   reconstruction and compiled-plan caches concurrently and share its
+   strategy counters.  Every answer must equal the sequential run's, and
+   the counters must add up to the sequential totals. *)
+let test_shredded_concurrent_reads () =
+  let module SH = Xdb_rel.Shred in
+  let docs = List.init 4 (fun i -> Xdb_xsltmark.Data.records_doc (30 + (10 * i))) in
+  let stylesheets =
+    List.map
+      (fun n -> (Option.get (Xdb_xsltmark.Cases.find n)).Xdb_xsltmark.Cases.stylesheet)
+      [ "avts"; "metric" ]
+  in
+  let queries =
+    [
+      "//row[id='7']/name"; "/table/row[3]/value";
+      "//row[id='5']/following-sibling::row[1]/name";
+      "//row[id='9']/preceding-sibling::row[2]/category";
+      (* a union is no path: answered over the reconstructed document *)
+      "//row[1]/id | //row[2]/id";
+    ]
+  in
+  let nocache = { EN.default_run_options with EN.result_cache = false } in
+  (* the work on one document: transforms, batched queries through the
+     engine, and the same queries over the per-context plans *)
+  let work engine docid =
+    List.map
+      (fun ss ->
+        let r = EN.run ~options:nocache engine (EN.Shredded (Some [ docid ])) ~stylesheet:ss in
+        String.concat "" r.EN.output)
+      stylesheets
+    @ List.concat_map
+        (fun q ->
+          let s = EN.shred_store engine in
+          String.concat "|" (EN.query_shredded engine ~docid q)
+          :: [ String.concat "|" (SH.serialize s (SH.select s ~batch:false ~docid q)) ])
+        queries
+  in
+  let fresh () =
+    let engine = EN.create (Xdb_rel.Database.create ()) in
+    (engine, List.map (EN.store_shredded engine) docs)
+  in
+  let rounds = 3 in
+  let seq_engine, seq_ids = fresh () in
+  let expected =
+    List.init rounds (fun _ -> List.map (fun id -> (id, work seq_engine id)) seq_ids)
+  in
+  let seq_counters = SH.counters (EN.shred_store seq_engine) in
+  let engine, ids = fresh () in
+  let c0 = SH.counters (EN.shred_store engine) in
+  let halves = List.map (fun k -> List.filteri (fun i _ -> i mod 2 = k) ids) [ 0; 1 ] in
+  let results =
+    List.map Domain.join
+      (List.map
+         (fun mine ->
+           Domain.spawn (fun () ->
+               List.init rounds (fun _ -> List.map (fun id -> (id, work engine id)) mine)))
+         halves)
+  in
+  List.iteri
+    (fun r expected_round ->
+      List.iter
+        (fun (id, out) ->
+          check (Alcotest.list cs)
+            (Printf.sprintf "round %d doc %d ≡ sequential" r id)
+            (List.assoc id expected_round) out)
+        (List.concat_map (fun per_domain -> List.nth per_domain r) results))
+    expected;
+  let c1 = SH.counters (EN.shred_store engine) in
+  check ci "batched steps add up" seq_counters.SH.batch_steps
+    (c1.SH.batch_steps - c0.SH.batch_steps);
+  check ci "per-context steps add up" seq_counters.SH.rel_steps
+    (c1.SH.rel_steps - c0.SH.rel_steps);
+  check ci "DOM fallbacks add up" seq_counters.SH.dom_fallbacks
+    (c1.SH.dom_fallbacks - c0.SH.dom_fallbacks);
+  check cb "the union fell back" true (c1.SH.dom_fallbacks > 0);
+  EN.shutdown seq_engine;
+  EN.shutdown engine
+
 let test_xdb_error () =
   let db, view = setup_example1 () in
   let engine = EN.create db in
@@ -1711,6 +1790,8 @@ let () =
           Alcotest.test_case "Engine shredded storage" `Quick test_engine_shredded;
           Alcotest.test_case "shredded XSLTMark parity" `Quick
             test_shredded_xsltmark_parity;
+          Alcotest.test_case "shredded reads from two domains" `Quick
+            test_shredded_concurrent_reads;
           Alcotest.test_case "Xdb_error boundary" `Quick test_xdb_error;
           Alcotest.test_case "CLI transform errors exit 1" `Quick test_cli_transform_errors;
           Alcotest.test_case "result cache unit" `Quick test_result_cache_unit;

@@ -1484,6 +1484,13 @@ let diff_exprs =
     "//a/descendant::text()"; "//a/descendant-or-self::*"; "//a/parent::*";
     "//a/following-sibling::*"; "//a/preceding-sibling::*[1]"; "//b/following::text()";
     "//b/preceding::*"; "//a[.='7']"; "//a[b='7']"; "//a[not(@id)]"; "//*[count(b)>1]";
+    (* sibling, following and preceding steps under positional predicates *)
+    "//a/following-sibling::*[2]"; "//a/following-sibling::b[last()]";
+    "//b/preceding-sibling::node()[1]"; "//b/following::*[1]"; "//a/preceding::b[2]";
+    "/r/a[3]"; "/*/a[3]"; "/*/*[2]/b"; "//a[b='7']/following-sibling::*[1]"; "//a//b";
+    (* the // collapse boundary: row-local predicates collapse, the rest
+       count among one parent's children *)
+    "//a[b]"; "//a[1]"; "//a[last()]"; "//a[count(b)]"; "//@id"; "//*[@id][2]";
     (* outside the relational subset: DOM fallback, still byte-identical *)
     "//a[contains(.,'1')]"; "//a[starts-with(name(),'a')]";
   ]
@@ -1539,6 +1546,18 @@ let batch_axis_exprs =
     (* sort-merge value predicates over each classified form *)
     "//a[.='7']"; "//a[b]"; "//a[b='7']"; "//a[@id]"; "//a[@id='1']";
     "//a[not(@id)]"; "//a/b[c='2']"; "//a[@id>2]"; "//a[b!='7']";
+    (* sibling, following and preceding: walks from each context, with
+       and without a positional predicate *)
+    "//a/following-sibling::*"; "//b/following-sibling::node()"; "//a/preceding-sibling::*";
+    "//b/preceding-sibling::a"; "//b/following::*"; "//a/following::text()";
+    "//b/preceding::*"; "//a/preceding::b"; "//a/following-sibling::*[1]";
+    "//a/following-sibling::b[2]"; "//b/preceding-sibling::*[1]";
+    "//b/preceding-sibling::node()[last()]"; "//b/following::*[2]"; "//a/preceding::*[1]";
+    "//a/preceding::text()[position()<3]"; "//a/child::b[2]"; "//b/ancestor::*[2]";
+    "//a/descendant::b[1]"; "//text()[1]"; "/r/a[3]"; "/*/a[3]";
+    "//a[b='7']/following-sibling::*[1]"; "//a//b"; "//a//b[@id]";
+    (* the // collapse boundary *)
+    "//a[2]"; "//a[b]"; "//a[last()]"; "//a[count(b)]"; "//@id"; "//b[@id='1'][1]";
   ]
 
 let prop_shred_batch_differential =
@@ -1582,6 +1601,51 @@ let test_shred_differential_xsltmark () =
   ignore (SH.select t ~batch:false ~docid "//row[id]");
   let c2 = SH.counters t in
   check cb "per-context plans ran" true (c2.SH.rel_steps > c.SH.rel_steps)
+
+(* on a cached document every batched step reads the pre-ordered rows
+   array: the docs workload's query shapes (value lookup, position,
+   following and preceding siblings) and a shredded avts transform open
+   no per-context plan and never probe the [dparent] index *)
+let test_shred_rows_array_steps () =
+  let db = DB.create () in
+  let t = SH.create db in
+  let doc = Xdb_xsltmark.Data.records_doc 60 in
+  let docid = SH.shred t doc in
+  let dparent =
+    match T.find_index (DB.table db (SH.table_name t)) "dparent" with
+    | Some idx -> idx.T.tree
+    | None -> Alcotest.fail "no dparent index"
+  in
+  let queries =
+    [
+      "//row[id='17']/name"; "/table/row[5]/value";
+      "//row[id='17']/following-sibling::row[1]/name";
+      "//row[id='19']/preceding-sibling::row[2]/category";
+    ]
+  in
+  let avts =
+    Xdb_xslt.Compile.compile
+      (Xdb_xslt.Parser.parse (Option.get (Xdb_xsltmark.Cases.find "avts")).stylesheet)
+  in
+  let run () =
+    ( List.map (fun q -> SH.serialize t (SH.select t ~docid q)) queries,
+      Xdb_core.Shred_vm.transform_to_string avts t docid )
+  in
+  let first = run () in
+  let ctx = Xdb_xpath.Eval.make_context doc in
+  List.iter2
+    (fun q got ->
+      check (Alcotest.list Alcotest.string) q
+        (SH.serialize_dom (Xdb_xpath.Eval.select ctx q)) got)
+    queries (fst first);
+  let probes0 = BT.probes dparent and c0 = SH.counters t in
+  let again = run () in
+  let c1 = SH.counters t in
+  check cb "same answers" true (again = first);
+  check ci "no dparent probes" 0 (BT.probes dparent - probes0);
+  check ci "no per-context plan opened" c0.SH.rel_steps c1.SH.rel_steps;
+  check ci "no DOM fallback" c0.SH.dom_fallbacks c1.SH.dom_fallbacks;
+  check cb "steps ran batched" true (c1.SH.batch_steps > c0.SH.batch_steps)
 
 (* ------------------------------------------------------------------ *)
 (* compiled executor: plan-open resolution, batch boundaries           *)
@@ -2015,6 +2079,8 @@ let () =
           Alcotest.test_case "axis steps pick index range scans" `Quick test_shred_axis_plans;
           Alcotest.test_case "name dictionary capacity" `Quick test_shred_name_capacity;
           Alcotest.test_case "XSLTMark differential" `Quick test_shred_differential_xsltmark;
+          Alcotest.test_case "cached steps read the rows array" `Quick
+            test_shred_rows_array_steps;
           QCheck_alcotest.to_alcotest prop_shred_differential;
           QCheck_alcotest.to_alcotest prop_shred_batch_differential;
         ] );

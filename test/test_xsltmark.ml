@@ -286,6 +286,52 @@ let test_avts_presorted () =
   check (Alcotest.list ci) "reversed keys: sorted, not counted" [ 0 ] (agg_presorted st');
   check cb "reversed plan output differs" true (out' <> snd (run plan))
 
+(* With streaming on, an XMLAgg's members (and the subplans inside them)
+   run while the result column is serialized, after the Aggregate's own
+   pulls returned.  That time is charged to the Aggregate, so no
+   operator's inclusive time falls under the sum of its children's.  A
+   Project's expression subplans are not its children: its inclusive
+   time covers its input only (the projected XML is drained later). *)
+let test_streamed_inclusive_times () =
+  let module A = Xdb_rel.Algebra in
+  let module St = Xdb_rel.Stats in
+  let children = function
+    | A.Seq_scan _ | A.Index_scan _ | A.Values _ -> []
+    | A.Filter (c, i) -> A.subplans_of_expr c @ [ i ]
+    | A.Project (_, i) | A.Limit (_, i) -> [ i ]
+    | A.Nested_loop { outer; inner; join_cond } ->
+        (match join_cond with Some c -> A.subplans_of_expr c | None -> []) @ [ outer; inner ]
+    | A.Hash_join { outer; inner; keys; _ } ->
+        List.concat_map (fun (o, i) -> A.subplans_of_expr o @ A.subplans_of_expr i) keys
+        @ [ outer; inner ]
+    | A.Aggregate { group_by; aggs; input } ->
+        List.concat_map (fun (e, _) -> A.subplans_of_expr e) group_by
+        @ List.concat_map (fun (a, _) -> A.subplans_of_agg a) aggs
+        @ [ input ]
+    | A.Sort (keys, i) -> List.concat_map (fun (e, _) -> A.subplans_of_expr e) keys @ [ i ]
+  in
+  List.iter
+    (fun name ->
+      let case = Option.get (M.find name) in
+      let dv = M.dbview_for case 400 in
+      let c = PL.compile dv.D.db dv.D.view case.M.stylesheet in
+      let out, stats = PL.run_rewrite_analyzed ~streaming:true dv.D.db c in
+      check (Alcotest.list cs) (name ^ ": output") (PL.run_rewrite ~streaming:false dv.D.db c) out;
+      let stats = Option.get stats in
+      List.iter
+        (fun (e : St.entry) ->
+          let kids =
+            List.fold_left
+              (fun acc k ->
+                match St.find stats k with Some s -> acc +. s.St.time_ms | None -> acc)
+              0.0 (children e.St.node)
+          in
+          if e.St.op.St.time_ms +. 1e-6 < kids then
+            Alcotest.failf "%s: %s inclusive %.4f ms < children %.4f ms" name e.St.label
+              e.St.op.St.time_ms kids)
+        (St.entries stats))
+    [ "chart"; "total" ]
+
 let () =
   let all = M.all @ M.extras in
   Alcotest.run "xsltmark"
@@ -306,6 +352,11 @@ let () =
           all );
       ("statistics", [ Alcotest.test_case "23/40 inline" `Quick inline_statistic ]);
       ("presorted", [ Alcotest.test_case "avts XMLAgg at 8k rows" `Quick test_avts_presorted ]);
+      ( "stats",
+        [
+          Alcotest.test_case "streamed XMLAgg time is inside its Aggregate" `Quick
+            test_streamed_inclusive_times;
+        ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_random_stylesheets;
